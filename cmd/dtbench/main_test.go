@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -94,17 +95,18 @@ func TestCommittedBaselineParses(t *testing.T) {
 
 // TestMetricsOverheadSmoke runs the interleaved metrics-on/off pairs and
 // pins the observability tax. Both sides must process the identical
-// event stream (pull-based collection cannot perturb the simulation) and
-// the median paired per-event slowdown must stay under 8%: the committed
-// baseline records ~4.3%, and the pin leaves headroom for load noise
-// while still catching any regression that puts real work on the event
-// path (those show up at tens of percent). No retry loop: the paired
-// scheme absorbs load spikes inside each pair, so a single measurement
-// is the contract. It measures the full-size dumbbell, not -quick: on
-// the short quick run the registry's fixed sampling cost amortizes over
-// so few events that the honest tax alone exceeds the pin and per-run
-// jitter swamps the signal — the old min-of-N-per-side estimator only
-// passed there by systematically underestimating the delta.
+// event stream (pull-based collection cannot perturb the simulation), and
+// the confidence interval for the median per-pair slowdown must lie below
+// overheadBoundPercent (8%): the tax measures about 4–5% here, and the pin
+// still catches any regression that puts real work on the event path
+// (those show up at tens of percent). The pairs are timed on the
+// measuring thread's CPU clock, so the other test packages go test runs
+// in parallel do not inflate either arm. An interval that still
+// straddles the bound after every re-measuring round is reported as
+// inconclusive, a skip, rather than a verdict either way. It measures the
+// full-size dumbbell, not -quick: on the short quick run the registry's
+// fixed sampling cost amortizes over so few events that the honest tax
+// alone exceeds the pin.
 func TestMetricsOverheadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive smoke test")
@@ -116,11 +118,49 @@ func TestMetricsOverheadSmoke(t *testing.T) {
 	if o.BaseNsPerEvent <= 0 {
 		t.Fatalf("degenerate base timing: %.2f ns/event", o.BaseNsPerEvent)
 	}
-	if o.Runs < 3 {
-		t.Fatalf("measured %d pairs, want at least 3 for a median", o.Runs)
+	if o.Runs < overheadPairs {
+		t.Fatalf("measured %d pairs, want at least %d", o.Runs, overheadPairs)
 	}
-	if o.DeltaPercent >= 8 {
-		t.Fatalf("metrics overhead %.2f%% per event, want < 8%%", o.DeltaPercent)
+	summary := fmt.Sprintf("metrics overhead %.2f%% per event, %.0f%% CI [%.2f%%, %.2f%%] over %d %s pairs",
+		o.DeltaPercent, overheadConfidence*100, o.CILowPercent, o.CIHighPercent, o.Runs, o.Clock)
+	switch o.Verdict {
+	case "pass":
+		t.Log(summary)
+	case "fail":
+		t.Fatalf("%s, want < %v%%", summary, overheadBoundPercent)
+	default:
+		t.Skipf("inconclusive: %s straddles the %v%% bound", summary, overheadBoundPercent)
+	}
+}
+
+// TestMedianCI pins the order statistics the overhead interval uses and
+// the sample-range fallback for tiny samples.
+func TestMedianCI(t *testing.T) {
+	seq := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(n - i) // reversed: medianCI must sort a copy
+		}
+		return xs
+	}
+	cases := []struct {
+		n      int
+		lo, hi float64
+	}{
+		{1, 1, 1},
+		{5, 1, 5},   // P(B ≤ 0) = 1/32 > 2.5%: no interval narrower than the range
+		{9, 2, 8},   // P(B ≤ 1) = 10/512 ≤ 2.5% < P(B ≤ 2)
+		{18, 5, 14}, // P(B ≤ 4) ≈ 1.5% ≤ 2.5% < P(B ≤ 5) ≈ 4.8%
+	}
+	for _, c := range cases {
+		in := seq(c.n)
+		lo, hi := medianCI(in, 0.95)
+		if lo != c.lo || hi != c.hi {
+			t.Errorf("medianCI(n=%d) = [%v, %v], want [%v, %v]", c.n, lo, hi, c.lo, c.hi)
+		}
+		if in[0] != float64(c.n) {
+			t.Fatalf("medianCI reordered its input")
+		}
 	}
 }
 

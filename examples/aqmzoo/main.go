@@ -19,7 +19,7 @@ func main() {
 		dtdctcp.Reno(),      // DropTail, loss-driven
 		dtdctcp.Cubic(),     // DropTail, the era's Linux default
 		dtdctcp.RenoECN(40), // classic ECN at K
-		dtdctcp.RenoPIE(10*dtdctcp.Gbps, 200*time.Microsecond), // delay-targeting PI controller
+		dtdctcp.RenoPIE(10*dtdctcp.Gbps, 200*time.Microsecond),    // delay-targeting PI controller
 		dtdctcp.RenoCoDel(200*time.Microsecond, time.Millisecond), // sojourn-based dequeue law
 		dtdctcp.DCTCP(40, 1.0/16),                                 // the paper's baseline
 		dtdctcp.DTDCTCP(30, 50, 1.0/16),                           // the paper's contribution

@@ -3,23 +3,25 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Histogram counts observations into fixed buckets chosen at
 // registration time. Buckets are defined by finite, strictly increasing
 // upper bounds with Prometheus semantics — bucket i counts observations
 // v ≤ bounds[i] that exceeded every earlier bound — plus one implicit
-// overflow bucket above the last bound. Observe performs a binary
-// search over the bounds and increments one slot: no allocation, no
-// floating accumulation beyond the running sum.
+// overflow bucket above the last bound. Observe finds the bucket in O(1)
+// for linear bounds (see bucket) and increments one slot: no allocation,
+// no floating accumulation beyond the running sum.
 type Histogram struct {
 	bounds []float64 // finite, strictly increasing upper bounds
 	counts []uint64  // len(bounds)+1; last slot is the overflow bucket
-	count  uint64
-	sum    float64
-	min    float64
-	max    float64
+	// scale maps v − bounds[0] to a bucket guess: (n−1)/(bounds[n−1] −
+	// bounds[0]), or 0 for a single bound.
+	scale float64
+	count uint64
+	sum   float64
+	min   float64
+	max   float64
 }
 
 // NewHistogram creates a histogram over the given upper bounds. The
@@ -40,16 +42,18 @@ func NewHistogram(bounds []float64) *Histogram {
 			panic(fmt.Sprintf("metrics: histogram bounds not strictly increasing at %v", b))
 		}
 	}
-	return &Histogram{bounds: own, counts: make([]uint64, len(own)+1)}
+	h := &Histogram{bounds: own, counts: make([]uint64, len(own)+1)}
+	if n := len(own); n > 1 {
+		h.scale = float64(n-1) / (own[n-1] - own[0])
+	}
+	return h
 }
 
 // Observe records one value.
 //
 //dtlint:hotpath
 func (h *Histogram) Observe(v float64) {
-	// First bound ≥ v; the overflow bucket catches v above every bound.
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
+	h.counts[h.bucket(v)]++
 	h.sum += v
 	if h.count == 0 || v < h.min {
 		h.min = v
@@ -58,6 +62,32 @@ func (h *Histogram) Observe(v float64) {
 		h.max = v
 	}
 	h.count++
+}
+
+// bucket returns the index of the first bound ≥ v, or len(bounds) for
+// the overflow bucket (NaN included) — exactly sort.SearchFloat64s. It
+// guesses the index as if the bounds were evenly spaced, then corrects
+// the guess against the stored bounds: exact for any bounds, and one or
+// two steps for the linear bounds every per-packet queue-depth histogram
+// uses, where a binary search would take log₂ n.
+//
+//dtlint:hotpath
+func (h *Histogram) bucket(v float64) int {
+	b := h.bounds
+	n := len(b)
+	i := 0
+	if g := (v - b[0]) * h.scale; g >= float64(n) || g != g {
+		i = n // above the last bound, or NaN
+	} else if g > 0 {
+		i = int(g)
+	}
+	for i < n && !(b[i] >= v) {
+		i++
+	}
+	for i > 0 && b[i-1] >= v {
+		i--
+	}
+	return i
 }
 
 // Count returns the number of observations.

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -166,4 +167,75 @@ func TestBoundsHelpers(t *testing.T) {
 	}
 	mustPanic(t, "LinearBounds", func() { LinearBounds(0, 0, 3) })
 	mustPanic(t, "ExponentialBounds", func() { ExponentialBounds(1, 1, 3) })
+}
+
+// bucketLayouts are the bound shapes bucket must handle: the linear
+// layouts the queue-depth histograms use (integer and fractional widths,
+// where the guess meets rounding), exponential ones, a single bound, and
+// irregular spacing.
+func bucketLayouts(rng *rand.Rand) map[string][]float64 {
+	irregular := make([]float64, 0, 40)
+	for x := rng.NormFloat64() * 100; len(irregular) < cap(irregular); x += rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(7)-3)) {
+		irregular = append(irregular, x)
+	}
+	return map[string][]float64{
+		"linear":             LinearBounds(10, 10, 64),
+		"linear-fractional":  LinearBounds(0.1, 0.1, 50),
+		"linear-negative":    LinearBounds(-7.25, 0.3, 17),
+		"exponential":        ExponentialBounds(10e-6, 1.5, 36),
+		"exponential-narrow": ExponentialBounds(1, 1.01, 200),
+		"single":             {5},
+		"pair":               {-1, 1e9},
+		"irregular-fixed":    {-3, -1, 0, 0.5, 2, 100, 101, 1e6},
+		"irregular-random":   irregular,
+	}
+}
+
+// bucketProbes returns values exactly on every bound, one ulp either side
+// of it, below the first and above the last bound, ±Inf, NaN, ±0 and
+// random values across the range.
+func bucketProbes(rng *rand.Rand, bounds []float64) []float64 {
+	lo, hi := bounds[0], bounds[len(bounds)-1]
+	probes := []float64{math.Inf(-1), math.Inf(1), math.NaN(), 0, math.Copysign(0, -1),
+		lo - 1, hi + 1, -math.MaxFloat64, math.MaxFloat64}
+	for _, b := range bounds {
+		probes = append(probes, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+	}
+	span := hi - lo + 1
+	for i := 0; i < 200; i++ {
+		probes = append(probes, lo-span/4+rng.Float64()*span*1.5)
+	}
+	return probes
+}
+
+// TestBucketMatchesSearchFloat64s: property — the guessed-and-corrected
+// bucket lookup returns sort.SearchFloat64s's index for every input.
+func TestBucketMatchesSearchFloat64s(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		for name, bounds := range bucketLayouts(rng) {
+			h := NewHistogram(bounds)
+			for _, v := range bucketProbes(rng, bounds) {
+				if got, want := h.bucket(v), sort.SearchFloat64s(bounds, v); got != want {
+					t.Fatalf("%s: bucket(%v) = %d, want %d", name, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzBucketMatchesSearchFloat64s extends the property to arbitrary
+// values and bound layouts drawn from a seed.
+func FuzzBucketMatchesSearchFloat64s(f *testing.F) {
+	f.Add(int64(1), 35.0)
+	f.Add(int64(2), math.NaN())
+	f.Add(int64(3), math.Inf(-1))
+	f.Add(int64(4), 1e-300)
+	f.Fuzz(func(t *testing.T, seed int64, v float64) {
+		for name, bounds := range bucketLayouts(rand.New(rand.NewSource(seed))) {
+			if got, want := NewHistogram(bounds).bucket(v), sort.SearchFloat64s(bounds, v); got != want {
+				t.Fatalf("%s: bucket(%v) = %d, want %d", name, v, got, want)
+			}
+		}
+	})
 }

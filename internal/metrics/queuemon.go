@@ -7,7 +7,7 @@ import "dtdctcp/internal/sim"
 // (this package does not import netsim — wiring lives in core), so a
 // port can fan out to both the experiment's QueueRecorder and this
 // monitor. QueueChanged is on the per-packet hot path: one division,
-// one binary search, no allocation.
+// one bucket lookup, no allocation.
 type QueueDepthMonitor struct {
 	hist    *Histogram
 	pktSize float64

@@ -34,8 +34,8 @@ func diamond(t testing.TB, salt uint64) (*sim.Engine, *Network, *Host, *Host, *S
 
 func TestECMPSetsOnDiamond(t *testing.T) {
 	_, _, _, h1, s0, _, s3 := diamond(t, 7)
-	set, ok := s0.ecmp[h1.ID()]
-	if !ok || len(set) != 2 {
+	set := s0.ecmp[h1.ID()]
+	if len(set) != 2 {
 		t.Fatalf("s0 ECMP set toward h1 = %v, want 2 equal-cost ports", set)
 	}
 	// Port order: port 0 leads back to h0, ports 1 and 2 to sA and sB.
@@ -43,7 +43,7 @@ func TestECMPSetsOnDiamond(t *testing.T) {
 		t.Fatalf("ECMP set = %v, want [1 2] (port-index order)", set)
 	}
 	// The last-hop switch has exactly one shortest path to each host.
-	if _, ok := s3.ecmp[h1.ID()]; ok {
+	if len(s3.ecmp[h1.ID()]) != 0 {
 		t.Fatal("s3 has an ECMP set toward its directly attached host")
 	}
 }

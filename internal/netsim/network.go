@@ -59,7 +59,6 @@ func (n *Network) AddSwitch(name string) *Switch {
 		name:    name,
 		net:     n,
 		portIdx: make(map[NodeID]int),
-		routes:  make(map[NodeID]int),
 	}
 	n.nodes = append(n.nodes, s)
 	n.switches = append(n.switches, s)
@@ -121,6 +120,7 @@ func (n *Network) attach(from, to Node, cfg PortConfig) (*Port, error) {
 func (n *Network) ComputeRoutes() error {
 	n.stampDomains()
 	for _, s := range n.switches {
+		s.routes = n.emptyRoutes()
 		for _, dst := range n.nodes {
 			if dst.ID() == s.ID() {
 				continue
@@ -133,10 +133,19 @@ func (n *Network) ComputeRoutes() error {
 			if !ok {
 				return fmt.Errorf("netsim: inconsistent adjacency at %s", s.Name())
 			}
-			s.routes[dst.ID()] = idx
+			s.routes[dst.ID()] = int32(idx)
 		}
 	}
 	return nil
+}
+
+// emptyRoutes returns a routing table with one "no route" entry per node.
+func (n *Network) emptyRoutes() []int32 {
+	routes := make([]int32, len(n.nodes))
+	for i := range routes {
+		routes[i] = -1
+	}
+	return routes
 }
 
 // stampDomains writes the stable shard-domain index onto every port
@@ -181,7 +190,8 @@ func (n *Network) ComputeRoutesECMP(salt uint64) error {
 	queue := make([]NodeID, 0, len(n.nodes))
 	for _, s := range n.switches {
 		s.hashSalt = salt
-		s.ecmp = make(map[NodeID][]int32)
+		s.routes = n.emptyRoutes()
+		s.ecmp = nil
 	}
 	for _, dstNode := range n.nodes {
 		dst := dstNode.ID()
@@ -232,8 +242,11 @@ func (n *Network) ComputeRoutesECMP(salt uint64) error {
 			if first < 0 {
 				return fmt.Errorf("netsim: inconsistent adjacency at %s", s.Name())
 			}
-			s.routes[dst] = first
+			s.routes[dst] = int32(first)
 			if len(set) > 1 {
+				if s.ecmp == nil {
+					s.ecmp = make([][]int32, len(n.nodes))
+				}
 				s.ecmp[dst] = set
 			}
 		}

@@ -34,15 +34,17 @@ type Switch struct {
 	// wiring time so PortTo and route computation stay O(1) per lookup
 	// even on fat-tree switches with dozens of ports.
 	portIdx map[NodeID]int
-	// routes maps destination node → output port index.
-	routes map[NodeID]int
-	// ecmp lists every equal-cost egress port for destinations that have
-	// more than one shortest path; nil (or a missing key) means the
-	// single entry in routes is the only choice. Filled by
-	// ComputeRoutesECMP, read-only afterwards. Sets are ordered by port
-	// index so path selection is a pure function of (hashSalt, switch id,
-	// flow id) — identical in serial and sharded runs.
-	ecmp map[NodeID][]int32
+	// routes maps destination NodeID (dense, so a slice index) → output
+	// port index; −1 means no route.
+	routes []int32
+	// ecmp lists, per destination NodeID, every equal-cost egress port
+	// when there is more than one shortest path; an empty entry means the
+	// single entry in routes is the only choice, and the table stays nil
+	// when no destination has a choice. Filled by ComputeRoutesECMP,
+	// read-only afterwards. Sets are ordered by port index so path
+	// selection is a pure function of (hashSalt, switch id, flow id) —
+	// identical in serial and sharded runs.
+	ecmp [][]int32
 	// hashSalt seeds the ECMP flow hash; drawn once per topology from
 	// the engine's seeded source so path placement varies with the run
 	// seed but never with shard count or assignment.
@@ -86,14 +88,18 @@ func (s *Switch) PortTo(peer NodeID) *Port {
 //
 //dtlint:hotpath
 func (s *Switch) egress(pkt *Packet) (int, bool) {
-	if s.ecmp != nil {
-		if set, ok := s.ecmp[pkt.Dst]; ok {
+	dst := int(pkt.Dst)
+	if uint(dst) >= uint(len(s.routes)) {
+		return 0, false
+	}
+	if dst < len(s.ecmp) {
+		if set := s.ecmp[dst]; len(set) > 0 {
 			h := ecmpHash(s.hashSalt, uint64(s.id), uint64(pkt.Flow))
 			return int(set[h%uint64(len(set))]), true
 		}
 	}
-	idx, ok := s.routes[pkt.Dst]
-	return idx, ok
+	idx := s.routes[dst]
+	return int(idx), idx >= 0
 }
 
 // ecmpHash mixes the topology salt, the switch identity, and the flow

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"time"
 )
@@ -106,5 +107,111 @@ func TestCancelDuringRunStillCompacts(t *testing.T) {
 	// cancellations accumulate rather than holding all n victims.
 	if maxPending >= 2*n {
 		t.Fatalf("Pending never shrank below initial %d", maxPending)
+	}
+}
+
+// TestCompactionSpansBothTiers cancels three of every four events in both
+// queue tiers, forcing a compaction that must empty the cancelled backlog
+// from each, and checks the survivors still run in full-key order.
+func TestCompactionSpansBothTiers(t *testing.T) {
+	e := NewEngine(1)
+	e.Schedule(0, func() {}) // the near tier starts open at [0, nearWindow)
+	var got []int
+	var refs []EventRef
+	const n = 400
+	for i := 0; i < n; i++ {
+		i := i
+		at := Time(1000 + i%13) // near, with ties
+		if i%2 == 1 {
+			at = 5*nearWindow + Time(i%7) // far, with ties
+		}
+		refs = append(refs, e.Schedule(at, func() { got = append(got, i) }))
+	}
+	if len(e.queue.near.items) != n/2+1 || len(e.queue.far.items) != n/2 {
+		t.Fatalf("tiers hold %d near and %d far events, want %d and %d",
+			len(e.queue.near.items), len(e.queue.far.items), n/2+1, n/2)
+	}
+	for i := range refs {
+		if i%4 != 0 {
+			refs[i].Cancel()
+		}
+	}
+	if e.Stats().Compactions == 0 {
+		t.Fatal("cancelling 3/4 of the queue never compacted it")
+	}
+	held := 0
+	for _, h := range []eventHeap{e.queue.near, e.queue.far} {
+		for _, s := range h.items {
+			if s.ev.cancelled {
+				held++
+			}
+		}
+	}
+	if held != e.cancelled || e.Pending() != n/4+1+held {
+		t.Fatalf("queue holds %d cancelled events (engine counts %d) of %d pending, want %d live",
+			held, e.cancelled, e.Pending(), n/4+1)
+	}
+	if e.Pending() > n/2 {
+		t.Fatalf("Pending = %d after compaction, want ≤ %d", e.Pending(), n/2)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var want []int
+	for i := 0; i < n; i += 4 {
+		want = append(want, i)
+	}
+	at := func(i int) Time {
+		if i%2 == 1 {
+			return 5*nearWindow + Time(i%7)
+		}
+		return Time(1000 + i%13)
+	}
+	sort.SliceStable(want, func(a, b int) bool { return at(want[a]) < at(want[b]) })
+	if len(got) != len(want) {
+		t.Fatalf("ran %d events, want %d", len(got), len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("order diverged at position %d: got %d, want %d", k, got[k], want[k])
+		}
+	}
+}
+
+// TestNextEventTimeFarTierOnly covers NextEventTime when the near tier is
+// empty and the far tier is not: before the first refill, with the far
+// head cancelled, and after a Stop leaves the near tier drained.
+func TestNextEventTimeFarTierOnly(t *testing.T) {
+	e := NewEngine(1)
+	ref := e.Schedule(10*nearWindow, func() {})
+	if len(e.queue.near.items) != 0 || len(e.queue.far.items) != 1 {
+		t.Fatal("an event past the first window must wait in the far tier")
+	}
+	if got := e.NextEventTime(); got != 10*nearWindow {
+		t.Fatalf("NextEventTime = %v, want %v", got, 10*nearWindow)
+	}
+	ref.Cancel()
+	if got := e.NextEventTime(); got != 10*nearWindow {
+		t.Fatalf("NextEventTime = %v with the head cancelled, want the conservative %v", got, 10*nearWindow)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := e.NextEventTime(); got != TimeNever {
+		t.Fatalf("NextEventTime = %v on an empty queue, want never", got)
+	}
+
+	start := e.Now()
+	e.Schedule(start+1000, e.Stop)
+	e.Schedule(start+20*nearWindow, func() {})
+	if err := e.Run(); err != ErrStopped {
+		t.Fatalf("Run = %v, want ErrStopped", err)
+	}
+	if len(e.queue.near.items) != 0 || len(e.queue.far.items) != 1 {
+		t.Fatalf("after Stop the tiers hold %d near and %d far events, want 0 and 1",
+			len(e.queue.near.items), len(e.queue.far.items))
+	}
+	if got := e.NextEventTime(); got != start+20*nearWindow {
+		t.Fatalf("NextEventTime = %v, want %v", got, start+20*nearWindow)
 	}
 }

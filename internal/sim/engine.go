@@ -13,11 +13,11 @@ import (
 // explicitly before reaching the requested horizon.
 var ErrStopped = errors.New("sim: engine stopped")
 
-// initialHeapCap sizes the preallocated event-heap backing storage. A
+// initialHeapCap sizes the preallocated near-tier backing storage. A
 // dumbbell run keeps a few hundred events in flight (one per queued
-// packet plus timers); starting at this capacity means the heap slice
-// never reallocates in steady state.
-const initialHeapCap = 1024
+// packet plus timers); starting at this capacity means the near heap
+// never reallocates in steady state. The far tier grows on demand.
+const initialHeapCap = 512
 
 // compactMinCancelled is the floor below which lazy cancellation is left
 // alone: compacting a handful of events is not worth the O(n) pass.
@@ -30,7 +30,7 @@ const compactMinCancelled = 64
 // internal/runner).
 type Engine struct {
 	now     Time
-	queue   eventHeap
+	queue   eventQueue
 	nextSeq uint64
 	rng     *rand.Rand
 	stopped bool
@@ -68,7 +68,7 @@ func NewEngine(seed int64) *Engine {
 	// *rand.Rand so one seed governs the whole run.
 	return &Engine{
 		rng:   rand.New(rand.NewSource(seed)), //dtlint:allow nondeterm: the one seeded root source
-		queue: eventHeap{items: make([]*Event, 0, initialHeapCap)},
+		queue: newEventQueue(),
 	}
 }
 
@@ -105,7 +105,6 @@ func (e *Engine) recycle(ev *Event) {
 	ev.runArg = nil
 	ev.arg = nil
 	ev.cancelled = false
-	ev.heapIndex = -1
 	//dtlint:allow hotalloc: the free list retains capacity; growth is amortized across the warm-up
 	e.free = append(e.free, ev)
 }
@@ -254,30 +253,34 @@ func (e *Engine) noteCancelled() {
 	}
 }
 
-// compact removes every cancelled event from the queue in one O(n) pass
-// and restores the heap property. Relative order of the survivors is
-// unaffected: ordering is decided by (at, seq), which compaction does not
-// touch.
+// compact removes every cancelled event from both queue tiers in one
+// O(n) pass and restores the heap property. Relative order of the
+// survivors is unaffected: ordering is decided by the event key, which
+// compaction does not touch, and no event changes tier.
 //
 //dtlint:hotpath
 func (e *Engine) compact() {
-	items := e.queue.items
-	kept := items[:0]
-	for _, ev := range items {
-		if ev.cancelled {
-			e.recycle(ev)
-		} else {
-			//dtlint:allow hotalloc: kept appends into the items backing array it aliases; it can never outgrow it
-			kept = append(kept, ev)
-		}
-	}
-	for i := len(kept); i < len(items); i++ {
-		items[i] = nil
-	}
-	e.queue.items = kept
-	e.queue.reheapify()
+	e.compactTier(&e.queue.near)
+	e.compactTier(&e.queue.far)
 	e.cancelled = 0
 	e.compactions++
+}
+
+//dtlint:hotpath
+func (e *Engine) compactTier(h *eventHeap) {
+	items := h.items
+	kept := items[:0]
+	for _, s := range items {
+		if s.ev.cancelled {
+			e.recycle(s.ev)
+		} else {
+			//dtlint:allow hotalloc: kept appends into the items backing array it aliases; it can never outgrow it
+			kept = append(kept, s)
+		}
+	}
+	clear(items[len(kept):])
+	h.items = kept
+	h.heapify()
 }
 
 // Stop halts the run loop after the currently executing event returns.
@@ -290,7 +293,7 @@ func (e *Engine) Pending() int { return e.queue.Len() }
 // Run processes events until the queue drains or Stop is called. It
 // returns ErrStopped in the latter case.
 func (e *Engine) Run() error {
-	return e.run(func(*Event) bool { return true })
+	return e.run(maxTime)
 }
 
 // RunUntil processes events with firing times ≤ horizon. The clock is
@@ -298,7 +301,7 @@ func (e *Engine) Run() error {
 // queue drains early, so back-to-back RunUntil calls observe monotonic
 // time.
 func (e *Engine) RunUntil(horizon Time) error {
-	err := e.run(func(ev *Event) bool { return ev.at <= horizon })
+	err := e.run(horizon)
 	if e.now < horizon {
 		e.now = horizon
 	}
@@ -328,18 +331,24 @@ func (e *Engine) NextEventTime() Time {
 // cross-shard messages stamped at exactly horizon can still be injected,
 // and its clock must not outrun the injection point.
 func (e *Engine) RunStrictUntil(horizon Time) error {
-	return e.run(func(ev *Event) bool { return ev.at < horizon })
+	last := horizon - tick
+	if last > horizon {
+		last = horizon // horizon is the earliest instant; nothing fires before it
+	}
+	return e.run(last)
 }
 
+// run processes events firing at or before last.
+//
 //dtlint:hotpath
-func (e *Engine) run(keep func(*Event) bool) error {
+func (e *Engine) run(last Time) error {
 	e.stopped = false
 	for {
 		if e.stopped {
 			return ErrStopped
 		}
 		next := e.queue.peek()
-		if next == nil || !keep(next) {
+		if next == nil || next.at > last {
 			return nil
 		}
 		e.queue.pop()

@@ -274,44 +274,443 @@ func TestPropertyEventOrdering(t *testing.T) {
 }
 
 // Property: under any interleaving of pushes and pops, every pop returns
-// exactly what a reference model (a sorted list keyed by (At, seq)) would.
+// exactly what a reference model (a list searched for the minimum under
+// the full event key) would, whichever tier each event sits in. Instants
+// are drawn near the tier boundary and tied with pending events on
+// purpose.
 func TestPropertyHeapMatchesReferenceModel(t *testing.T) {
-	type key struct {
-		at  Time
-		seq uint64
-	}
 	f := func(ops []uint16, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var h eventHeap
-		var ref []key
+		q := newEventQueue()
+		var ref []*Event
 		var seq uint64
+		now := Time(0)
 		for _, op := range ops {
-			if op%3 != 0 || h.Len() == 0 {
-				k := key{at: Time(rng.Intn(64)), seq: seq}
+			if op%3 != 0 || q.Len() == 0 {
+				var at Time
+				switch rng.Intn(5) {
+				case 0:
+					at = now + Time(rng.Intn(64))
+				case 1:
+					at = now + Time(rng.Int63n(int64(3*nearWindow)))
+				case 2:
+					if at = q.nearEnd + Time(rng.Intn(2)); at < now {
+						at = now
+					}
+				case 3:
+					at = now
+					if len(ref) > 0 {
+						at = ref[rng.Intn(len(ref))].at
+					}
+				default:
+					at = now + nearWindow*Time(1+rng.Intn(8))
+				}
+				ev := &Event{at: at, schedAt: Time(rng.Int63n(int64(at) + 1)),
+					srcKey: rng.Intn(3) - 1, srcSeq: uint64(rng.Intn(3)), seq: seq}
 				seq++
-				h.push(&Event{at: k.at, seq: k.seq})
-				ref = append(ref, k)
+				q.push(ev)
+				ref = append(ref, ev)
 				continue
 			}
-			ev := h.pop()
+			got := q.peek()
+			q.pop()
 			best := 0
-			for i, k := range ref {
-				if k.at < ref[best].at || (k.at == ref[best].at && k.seq < ref[best].seq) {
+			for i, ev := range ref {
+				if ev.before(ref[best]) {
 					best = i
 				}
 			}
-			if ev.at != ref[best].at || ev.seq != ref[best].seq {
+			if got != ref[best] || !tiersSplitAtNearEnd(&q) {
 				return false
 			}
+			now = got.at
 			ref = append(ref[:best], ref[best+1:]...)
 		}
-		if h.Len() != len(ref) {
-			return false
-		}
-		return true
+		return q.Len() == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tiersSplitAtNearEnd reports whether every near event fires at or
+// before nearEnd and every far event after it.
+func tiersSplitAtNearEnd(q *eventQueue) bool {
+	for _, s := range q.near.items {
+		if s.at > q.nearEnd || s.at != s.ev.at {
+			return false
+		}
+	}
+	for _, s := range q.far.items {
+		if s.at <= q.nearEnd || s.at != s.ev.at {
+			return false
+		}
+	}
+	return true
+}
+
+// refEvent is one event in the reference model of
+// TestPropertyEngineMatchesReferenceModel.
+type refEvent struct {
+	key   Event // at, schedAt, srcKey, srcSeq and seq; nothing else is set
+	ref   EventRef
+	timer int  // index of the timer that armed it, or -1
+	epoch Time // nearEnd when it was scheduled
+}
+
+// engineModel runs an Engine in lockstep with a reference: the live events
+// in a list, fired by searching for the minimum under the full key.
+type engineModel struct {
+	t       *testing.T
+	e       *Engine
+	rng     *rand.Rand
+	live    []*refEvent
+	timers  []*Timer
+	armed   []*refEvent // the live event of each timer, or nil
+	last    *refEvent   // the event that fired last
+	limit   Time        // the latest instant the current run may fire
+	nested  int         // actions handlers may still take
+	checked bool        // false once a check has failed
+
+	// Coverage of the two-tier edge cases.
+	tieAcrossRefill, atNearEnd, pastNearEnd, keyedTies     int
+	bothTierCompactions, horizonBetweenTiers, farOnlyPeeks int
+}
+
+func newEngineModel(t *testing.T, seed int64) *engineModel {
+	m := &engineModel{t: t, e: NewEngine(seed), rng: rand.New(rand.NewSource(seed)), limit: maxTime, checked: true}
+	for i := 0; i < 4; i++ {
+		i := i
+		m.timers = append(m.timers, NewTimer(m.e, func() { m.fired(m.armed[i]) }))
+		m.armed = append(m.armed, nil)
+	}
+	return m
+}
+
+func (m *engineModel) failf(format string, args ...any) {
+	if m.checked {
+		m.t.Errorf(format, args...)
+	}
+	m.checked = false
+}
+
+// pickAt draws a firing instant aimed at the tier edges.
+func (m *engineModel) pickAt() Time {
+	now, end := m.e.Now(), m.e.queue.nearEnd
+	switch m.rng.Intn(7) {
+	case 0:
+		return now + Time(m.rng.Intn(64))
+	case 1:
+		if end >= now {
+			m.atNearEnd++
+			return end
+		}
+	case 2:
+		if end+1 >= now {
+			m.pastNearEnd++
+			return end + 1
+		}
+	case 3, 4:
+		if len(m.live) > 0 {
+			return m.live[m.rng.Intn(len(m.live))].key.at
+		}
+	case 5:
+		return now + Time(m.rng.Int63n(int64(4*nearWindow)))
+	}
+	return now + nearWindow*Time(1+m.rng.Intn(40))
+}
+
+func (m *engineModel) newRef(at Time, timer int) *refEvent {
+	return &refEvent{
+		key:   Event{at: at, schedAt: m.e.Now(), srcKey: unkeyedSrc, seq: m.e.nextSeq},
+		timer: timer,
+		epoch: m.e.queue.nearEnd,
+	}
+}
+
+// schedule enqueues one event through a random entry point.
+func (m *engineModel) schedule() {
+	at := m.pickAt()
+	r := m.newRef(at, -1)
+	fn := func(any) { m.fired(r) }
+	switch m.rng.Intn(4) {
+	case 0:
+		r.ref = m.e.ScheduleArg(at, fn, nil)
+	case 1:
+		r.key.srcKey, r.key.srcSeq = m.rng.Intn(3), uint64(m.rng.Intn(3))
+		r.ref = m.e.ScheduleSrcArg(at, r.key.srcKey, r.key.srcSeq, fn, nil)
+	case 2:
+		r.key.schedAt = Time(m.rng.Int63n(int64(at) + 1))
+		r.ref = m.e.InjectArg(at, r.key.schedAt, fn, nil)
+	default:
+		r.key.schedAt = Time(m.rng.Int63n(int64(at) + 1))
+		r.key.srcKey, r.key.srcSeq = m.rng.Intn(3), uint64(m.rng.Intn(3))
+		r.ref = m.e.InjectSrcArg(at, r.key.schedAt, r.key.srcKey, r.key.srcSeq, fn, nil)
+	}
+	m.live = append(m.live, r)
+}
+
+// cancelling runs cancel, which lazily cancels the pending event r, and
+// notes whether it triggered a compaction while both tiers held
+// cancelled events.
+func (m *engineModel) cancelling(r *refEvent, cancel func()) {
+	nearC, farC := 0, 0
+	for _, s := range m.e.queue.near.items {
+		if s.ev.cancelled {
+			nearC++
+		}
+	}
+	for _, s := range m.e.queue.far.items {
+		if s.ev.cancelled {
+			farC++
+		}
+	}
+	if r.key.at <= m.e.queue.nearEnd {
+		nearC++
+	} else {
+		farC++
+	}
+	before := m.e.compactions
+	cancel()
+	if m.e.compactions > before && nearC > 0 && farC > 0 {
+		m.bothTierCompactions++
+	}
+	m.remove(r)
+}
+
+func (m *engineModel) cancel() {
+	if len(m.live) == 0 {
+		return
+	}
+	r := m.live[m.rng.Intn(len(m.live))]
+	if r.timer >= 0 {
+		m.cancelling(r, m.timers[r.timer].Stop)
+		m.armed[r.timer] = nil
+		return
+	}
+	m.cancelling(r, r.ref.Cancel)
+}
+
+// rearm resets a random timer, superseding its pending deadline.
+func (m *engineModel) rearm() {
+	i := m.rng.Intn(len(m.timers))
+	if old := m.armed[i]; old != nil {
+		m.cancelling(old, m.timers[i].Stop)
+	}
+	at := m.pickAt()
+	r := m.newRef(at, i)
+	m.timers[i].ResetAt(at)
+	r.ref = m.timers[i].pending
+	m.armed[i] = r
+	m.live = append(m.live, r)
+}
+
+func (m *engineModel) remove(r *refEvent) {
+	for i, x := range m.live {
+		if x == r {
+			m.live = append(m.live[:i], m.live[i+1:]...)
+			return
+		}
+	}
+	m.failf("event %+v is not live", r.key)
+}
+
+func (m *engineModel) min() *refEvent {
+	var best *refEvent
+	for _, r := range m.live {
+		if best == nil || r.key.before(&best.key) {
+			best = r
+		}
+	}
+	return best
+}
+
+// fired checks that r is the reference's next event, retires it, and
+// sometimes acts from inside the handler, as model code does.
+func (m *engineModel) fired(r *refEvent) {
+	if want := m.min(); want != r {
+		m.failf("fired %+v, reference expects %+v", r.key, want.key)
+	}
+	if m.e.Now() != r.key.at {
+		m.failf("fired %+v at %v", r.key, m.e.Now())
+	}
+	if r.key.at > m.limit {
+		m.failf("fired %+v past the run's last instant %v", r.key, m.limit)
+	}
+	if l := m.last; l != nil && l.key.at == r.key.at {
+		if l.epoch != r.epoch {
+			m.tieAcrossRefill++
+		}
+		if l.key.srcKey != r.key.srcKey || l.key.schedAt != r.key.schedAt {
+			m.keyedTies++
+		}
+	}
+	m.remove(r)
+	if r.timer >= 0 {
+		m.armed[r.timer] = nil
+	}
+	m.last = r
+	if m.nested > 0 && m.rng.Intn(2) == 0 {
+		m.nested--
+		m.act(m.rng.Intn(6)) // handlers schedule, cancel and rearm; they never run the engine
+	}
+}
+
+// horizon draws a run horizon, often exactly between the tiers.
+func (m *engineModel) horizon() Time {
+	q := &m.e.queue
+	switch m.rng.Intn(4) {
+	case 0:
+		return q.nearEnd
+	case 1:
+		return q.nearEnd + 1
+	case 2:
+		if len(q.far.items) > 0 {
+			return q.far.items[0].at - Time(m.rng.Intn(2))
+		}
+	}
+	return m.e.Now() + Time(m.rng.Int63n(int64(2*nearWindow)))
+}
+
+// between reports whether h separates a non-empty near tier from a
+// non-empty far tier.
+func (m *engineModel) between(h Time) bool {
+	q := &m.e.queue
+	if len(q.near.items) == 0 || len(q.far.items) == 0 {
+		return false
+	}
+	for _, s := range q.near.items {
+		if s.at >= h {
+			return false
+		}
+	}
+	return h <= q.far.items[0].at
+}
+
+func (m *engineModel) act(op int) {
+	switch op {
+	case 0, 1, 2:
+		m.schedule()
+	case 3:
+		m.cancel()
+	case 4, 5:
+		m.rearm()
+	case 6:
+		h := m.horizon()
+		if m.between(h) {
+			m.horizonBetweenTiers++
+		}
+		from := m.e.Now()
+		m.limit = h
+		if err := m.e.RunUntil(h); err != nil {
+			m.failf("RunUntil: %v", err)
+		}
+		m.limit = maxTime
+		if r := m.min(); r != nil && r.key.at <= h {
+			m.failf("RunUntil(%v) left %+v pending", h, r.key)
+		}
+		if want := max(from, h); m.e.Now() != want {
+			m.failf("RunUntil(%v) left the clock at %v, want %v", h, m.e.Now(), want)
+		}
+	default:
+		h := m.horizon()
+		if m.between(h) {
+			m.horizonBetweenTiers++
+		}
+		m.limit = h - tick
+		if err := m.e.RunStrictUntil(h); err != nil {
+			m.failf("RunStrictUntil: %v", err)
+		}
+		m.limit = maxTime
+		if r := m.min(); r != nil && r.key.at < h {
+			m.failf("RunStrictUntil(%v) left %+v pending", h, r.key)
+		}
+	}
+}
+
+// check compares the queue's shape and NextEventTime with the reference
+// between top-level actions.
+func (m *engineModel) check() {
+	q := &m.e.queue
+	if !tiersSplitAtNearEnd(q) {
+		m.failf("tiers straddle nearEnd %v", q.nearEnd)
+	}
+	if got, want := m.e.Pending(), len(m.live)+m.e.cancelled; got != want {
+		m.failf("Pending = %d, want %d live + %d cancelled", got, len(m.live), m.e.cancelled)
+	}
+	farOnly := len(q.near.items) == 0 && len(q.far.items) > 0
+	var farHead Time
+	if farOnly {
+		m.farOnlyPeeks++
+		farHead = q.far.items[0].at
+	}
+	got := m.e.NextEventTime()
+	switch r := m.min(); {
+	case farOnly && got != farHead:
+		m.failf("NextEventTime = %v with only the far tier queued, want its head %v", got, farHead)
+	case r == nil && m.e.Pending() == 0 && got != TimeNever:
+		m.failf("NextEventTime = %v on an empty queue", got)
+	case r != nil && (got > r.key.at || got < m.e.Now()):
+		m.failf("NextEventTime = %v, want in [%v, %v]", got, m.e.Now(), r.key.at)
+	}
+}
+
+// TestPropertyEngineMatchesReferenceModel drives the engine with random
+// Schedule, ScheduleSrcArg, Inject*, Cancel and Timer-rearm sequences,
+// from the top level and from inside handlers, interleaved with RunUntil
+// and RunStrictUntil, and checks every firing against the reference. The
+// draws aim at the two-tier edges, and the test asserts that each was
+// reached: instants exactly at and just past nearEnd, equal-at ties
+// between events scheduled before and after a refill, keyed ties,
+// compaction while both tiers hold cancelled events, horizons between the
+// tiers and NextEventTime with only the far tier queued.
+func TestPropertyEngineMatchesReferenceModel(t *testing.T) {
+	total := engineModel{}
+	for seed := int64(1); seed <= 40; seed++ {
+		m := newEngineModel(t, seed)
+		for i := 0; i < 1500 && m.checked; i++ {
+			m.nested = 4
+			op := m.rng.Intn(10)
+			if seed%4 == 0 { // cancel-heavy: fill both tiers, then cancel and rearm
+				op = 0
+				if i >= 300 {
+					op = 3 + m.rng.Intn(3)
+				}
+			}
+			m.act(op)
+			m.check()
+		}
+		m.nested = 0
+		if err := m.e.Run(); err != nil {
+			t.Fatalf("seed %d: Run: %v", seed, err)
+		}
+		if len(m.live) != 0 || m.e.Pending() != 0 {
+			t.Fatalf("seed %d: %d live events never fired, %d pending", seed, len(m.live), m.e.Pending())
+		}
+		if !m.checked {
+			t.Fatalf("seed %d diverged from the reference", seed)
+		}
+		total.tieAcrossRefill += m.tieAcrossRefill
+		total.atNearEnd += m.atNearEnd
+		total.pastNearEnd += m.pastNearEnd
+		total.keyedTies += m.keyedTies
+		total.bothTierCompactions += m.bothTierCompactions
+		total.horizonBetweenTiers += m.horizonBetweenTiers
+		total.farOnlyPeeks += m.farOnlyPeeks
+	}
+	for name, n := range map[string]int{
+		"ties across a refill":           total.tieAcrossRefill,
+		"instants at nearEnd":            total.atNearEnd,
+		"instants just past nearEnd":     total.pastNearEnd,
+		"keyed ties":                     total.keyedTies,
+		"compactions over both tiers":    total.bothTierCompactions,
+		"horizons between the tiers":     total.horizonBetweenTiers,
+		"NextEventTime on far tier only": total.farOnlyPeeks,
+	} {
+		t.Logf("%s: %d", name, n)
+		if n == 0 {
+			t.Errorf("no %s exercised", name)
+		}
 	}
 }
 

@@ -44,7 +44,6 @@ type Event struct {
 	arg    any
 
 	seq       uint64
-	heapIndex int
 	cancelled bool
 	// gen increments every time the storage is recycled; EventRef
 	// handles carry the generation they were issued for, which turns
@@ -106,25 +105,15 @@ func (r EventRef) Cancelled() bool {
 	return r.ev != nil && r.ev.gen == r.gen && r.ev.cancelled
 }
 
-// eventHeap is a binary min-heap of events ordered by
-// (at, schedAt, srcKey, srcSeq, seq).
-// It implements the parts of container/heap we need by hand; the
-// hand-rolled version avoids interface boxing on the hot path (tens of
-// millions of events per experiment sweep).
-type eventHeap struct {
-	items []*Event
-}
-
-//dtlint:hotpath
-func (h *eventHeap) Len() int { return len(h.items) }
-
 // unkeyedSrc is the srcKey of events scheduled without a source
 // identity. It sorts before every topology domain (all ≥ 0).
 const unkeyedSrc = -1
 
+// before reports whether a orders strictly before b under the full key
+// (at, schedAt, srcKey, srcSeq, seq).
+//
 //dtlint:hotpath
-func (h *eventHeap) less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
+func (a *Event) before(b *Event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -140,84 +129,203 @@ func (h *eventHeap) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-//dtlint:hotpath
-func (h *eventHeap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].heapIndex = i
-	h.items[j].heapIndex = j
+// slot is one heap entry. The firing instant sits inline so the common
+// comparison, between distinct instants, reads no Event; the rest of the
+// key is read through ev only when the instants tie.
+type slot struct {
+	at Time
+	ev *Event
 }
 
 //dtlint:hotpath
-func (h *eventHeap) push(e *Event) {
-	e.heapIndex = len(h.items)
-	//dtlint:allow hotalloc: backing array starts at initialHeapCap and is retained; growth is amortized warm-up
-	h.items = append(h.items, e)
+func (a slot) less(b slot) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.ev.before(b.ev)
+}
+
+// eventHeap is a binary min-heap of slots ordered by the full event key.
+// It implements the parts of container/heap we need by hand; the
+// hand-rolled version avoids interface boxing on the hot path (tens of
+// millions of events per experiment sweep).
+type eventHeap struct {
+	items []slot
+}
+
+//dtlint:hotpath
+func (h *eventHeap) push(s slot) {
+	//dtlint:allow hotalloc: the backing array is retained across pops; growth is amortized warm-up
+	h.items = append(h.items, s)
 	h.up(len(h.items) - 1)
 }
 
+// pop removes and returns the minimum slot; the heap must be non-empty.
+// It walks the hole at the root down to a leaf along the smaller
+// children, then sifts the last slot up from there (Floyd's bottom-up
+// deletion): the last slot usually belongs near the bottom, so this costs
+// one comparison per level instead of two.
+//
 //dtlint:hotpath
-func (h *eventHeap) pop() *Event {
-	n := len(h.items)
-	h.swap(0, n-1)
-	e := h.items[n-1]
-	h.items[n-1] = nil
-	h.items = h.items[:n-1]
-	if len(h.items) > 0 {
-		h.down(0)
+func (h *eventHeap) pop() slot {
+	items := h.items
+	n := len(items) - 1
+	top, last := items[0], items[n]
+	items[n] = slot{}
+	items = items[:n]
+	h.items = items
+	if n == 0 {
+		return top
 	}
-	e.heapIndex = -1
-	return e
-}
-
-//dtlint:hotpath
-func (h *eventHeap) peek() *Event {
-	if len(h.items) == 0 {
-		return nil
-	}
-	return h.items[0]
-}
-
-//dtlint:hotpath
-func (h *eventHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		h.swap(i, parent)
-		i = parent
+		if right := child + 1; right < n && items[right].less(items[child]) {
+			child = right
+		}
+		items[i] = items[child]
+		i = child
 	}
+	items[i] = last
+	h.up(i)
+	return top
 }
 
+// up moves the slot at i towards the root until its parent precedes it.
+//
+//dtlint:hotpath
+func (h *eventHeap) up(i int) {
+	s := h.items[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.less(h.items[parent]) {
+			break
+		}
+		h.items[i] = h.items[parent]
+		i = parent
+	}
+	h.items[i] = s
+}
+
+// down moves the slot at i towards the leaves until it precedes both
+// children.
+//
 //dtlint:hotpath
 func (h *eventHeap) down(i int) {
 	n := len(h.items)
+	s := h.items[i]
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		smallest := left
-		if right := left + 1; right < n && h.less(right, left) {
-			smallest = right
+		if right := child + 1; right < n && h.items[right].less(h.items[child]) {
+			child = right
 		}
-		if !h.less(smallest, i) {
-			return
+		if !h.items[child].less(s) {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		h.items[i] = h.items[child]
+		i = child
 	}
+	h.items[i] = s
 }
 
-// reheapify restores the heap property over the whole backing slice in
+// heapify restores the heap property over the whole backing slice in
 // O(n), used after compaction filters out cancelled events.
 //
 //dtlint:hotpath
-func (h *eventHeap) reheapify() {
-	for i := range h.items {
-		h.items[i].heapIndex = i
-	}
+func (h *eventHeap) heapify() {
 	for i := len(h.items)/2 - 1; i >= 0; i-- {
 		h.down(i)
+	}
+}
+
+// nearWindow is how far past the earliest far-tier event a refill
+// extends the near tier: 1 ms of virtual time, a few RTTs at data-center
+// scale.
+const nearWindow Time = 1_000_000
+
+// maxTime is the latest representable instant.
+const maxTime Time = 1<<63 - 1
+
+// eventQueue is the engine's priority queue, split in two tiers by firing
+// instant: near holds every event with at ≤ nearEnd and far every event
+// with at > nearEnd. Most pending events are far-future (RTO deadlines,
+// flow starts scheduled up front, lazily cancelled timer rearms), yet
+// almost every pop takes an event due within microseconds; keeping the
+// far-future mass out of the near heap keeps that heap a few dozen
+// entries deep.
+//
+// Pop order is exactly the single-heap order under the full key. Every
+// near event fires strictly before every far event, so the near minimum
+// is the global minimum; events tied on at land in the same tier, so no
+// tie is ever split across tiers. When near runs dry, refill moves the
+// far events with at < far.min.at + nearWindow into it.
+type eventQueue struct {
+	near, far eventHeap
+	// nearEnd is the last instant the near tier admits. The first
+	// window, [0, nearWindow), is open from the start, so a run's set-up
+	// events land in the preallocated near heap; nearEnd only grows, at
+	// each refill.
+	nearEnd Time
+}
+
+func newEventQueue() eventQueue {
+	return eventQueue{
+		near:    eventHeap{items: make([]slot, 0, initialHeapCap)},
+		nearEnd: nearWindow - tick,
+	}
+}
+
+//dtlint:hotpath
+func (q *eventQueue) Len() int { return len(q.near.items) + len(q.far.items) }
+
+//dtlint:hotpath
+func (q *eventQueue) push(ev *Event) {
+	s := slot{at: ev.at, ev: ev}
+	if s.at <= q.nearEnd {
+		q.near.push(s)
+	} else {
+		q.far.push(s)
+	}
+}
+
+// peek returns the earliest event, or nil when the queue is empty.
+//
+//dtlint:hotpath
+func (q *eventQueue) peek() *Event {
+	if len(q.near.items) == 0 {
+		if len(q.far.items) == 0 {
+			return nil
+		}
+		q.refill()
+	}
+	return q.near.items[0].ev
+}
+
+// pop removes the event the last peek returned.
+//
+//dtlint:hotpath
+func (q *eventQueue) pop() { q.near.pop() }
+
+// refill advances nearEnd one window past the earliest far event and
+// moves every far event up to it into the empty near tier. The far heap
+// yields them in key order, and a sorted slice is already a valid heap,
+// so they are appended without sifting.
+//
+//dtlint:hotpath
+func (q *eventQueue) refill() {
+	head := q.far.items[0].at
+	q.nearEnd = head + nearWindow - tick
+	if q.nearEnd < head {
+		q.nearEnd = maxTime // the window ran past the last instant
+	}
+	for len(q.far.items) > 0 && q.far.items[0].at <= q.nearEnd {
+		//dtlint:allow hotalloc: near's backing array is retained across refills; growth is amortized warm-up
+		q.near.items = append(q.near.items, q.far.pop())
 	}
 }
