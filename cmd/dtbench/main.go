@@ -31,6 +31,7 @@ import (
 
 	"dtdctcp"
 	"dtdctcp/internal/aqm"
+	"dtdctcp/internal/baseline"
 	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
 	"dtdctcp/internal/sim"
@@ -117,53 +118,17 @@ type SweepMetric struct {
 	PerCoreEfficiency float64 `json:"per_core_efficiency"`
 }
 
-// ShardPoint is one shard-count measurement of the identical testbed
-// run.
-type ShardPoint struct {
-	Shards       int     `json:"shards"`
-	Events       uint64  `json:"events"`
-	WallMillis   float64 `json:"wall_millis"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Speedup is events/sec relative to the shards=1 point.
-	Speedup float64 `json:"speedup"`
-}
-
-// ShardScalingMetric reruns the same 4-switch incast testbed at
-// increasing shard counts. Sharding is required to be byte-deterministic,
-// so the Events column may only vary by the fixed rounds−1 bookkeeping
-// events the serial engine keeps on its own wheel — the sharded points
-// must all match exactly. Read Speedup against GOMAXPROCS/NumCPU: on a
-// single-core box every shards>1 point measures pure synchronization
-// overhead, not parallelism, and speedups below 1.0 are the honest
-// result.
-type ShardScalingMetric struct {
-	Workers    int          `json:"workers"`
-	Rounds     int          `json:"rounds"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	NumCPU     int          `json:"num_cpu"`
-	Points     []ShardPoint `json:"points"`
-}
-
 // Snapshot is one complete dtbench run.
 type Snapshot struct {
-	Label        string              `json:"label"`
-	Timestamp    string              `json:"timestamp"`
-	GoVersion    string              `json:"go_version"`
-	GOMAXPROCS   int                 `json:"gomaxprocs"`
-	NumCPU       int                 `json:"num_cpu"`
-	Metrics      []Metric            `json:"metrics"`
-	Dumbbell     *DumbbellMetric     `json:"dumbbell,omitempty"`
-	Overhead     *OverheadMetric     `json:"overhead,omitempty"`
-	Sweep        *SweepMetric        `json:"sweep,omitempty"`
-	ShardScaling *ShardScalingMetric `json:"shard_scaling,omitempty"`
-}
-
-// File is the on-disk layout: the latest snapshot plus every snapshot it
-// replaced, oldest first, so the performance trajectory stays in-repo.
-type File struct {
-	Schema  string     `json:"schema"`
-	Current *Snapshot  `json:"current"`
-	History []Snapshot `json:"history,omitempty"`
+	Label      string          `json:"label"`
+	Timestamp  string          `json:"timestamp"`
+	GoVersion  string          `json:"go_version"`
+	GOMAXPROCS int             `json:"gomaxprocs"`
+	NumCPU     int             `json:"num_cpu"`
+	Metrics    []Metric        `json:"metrics"`
+	Dumbbell   *DumbbellMetric `json:"dumbbell,omitempty"`
+	Overhead   *OverheadMetric `json:"overhead,omitempty"`
+	Sweep      *SweepMetric    `json:"sweep,omitempty"`
 }
 
 const schema = "dtbench/v1"
@@ -181,7 +146,6 @@ func run(args []string) error {
 		out        = fs.String("o", "", "merge the snapshot into this JSON file (previous current moves to history)")
 		label      = fs.String("label", "", "snapshot label (default: timestamp)")
 		quick      = fs.Bool("quick", false, "smaller dumbbell and sweep for a fast smoke pass")
-		shards     = fs.Int("shards", 8, "largest shard count in the shard-scaling family (powers of two from 1; 0 skips it)")
 		metricsOut = fs.String("metrics", "", "write the instrumented dumbbell's observability snapshot as JSON to this path")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this path")
@@ -198,7 +162,7 @@ func run(args []string) error {
 		defer stop()
 	}
 
-	snap := measure(*quick, *shards)
+	snap := measure(*quick)
 	if *metricsOut != "" {
 		cfg := dumbbellConfig(*quick)
 		cfg.Metrics = true
@@ -223,33 +187,10 @@ func run(args []string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(snap)
 	}
-	return merge(*out, snap)
+	return baseline.Merge(*out, schema, snap)
 }
 
-// merge writes snap as the file's Current, demoting any previous Current
-// to the end of History.
-func merge(path string, snap *Snapshot) error {
-	var f File
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &f); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-		if f.Current != nil {
-			f.History = append(f.History, *f.Current)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	f.Schema = schema
-	f.Current = snap
-	raw, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-func measure(quick bool, maxShards int) *Snapshot {
+func measure(quick bool) *Snapshot {
 	snap := &Snapshot{
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
@@ -283,9 +224,6 @@ func measure(quick bool, maxShards int) *Snapshot {
 	snap.Dumbbell = measureDumbbell(quick)
 	snap.Overhead = measureOverhead(quick)
 	snap.Sweep = measureSweep(quick)
-	if maxShards > 0 {
-		snap.ShardScaling = measureShardScaling(quick, maxShards)
-	}
 	return snap
 }
 
@@ -602,66 +540,6 @@ func measureSweep(quick bool) *SweepMetric {
 	}
 	if cores > 0 {
 		m.PerCoreEfficiency = m.Speedup / float64(cores)
-	}
-	return m
-}
-
-// measureShardScaling times the identical 4-switch incast testbed run at
-// shard counts 1, 2, 4, … up to maxShards. The determinism contract
-// makes the comparison clean: every point simulates exactly the same
-// packets in exactly the same order, so a differing event count means
-// the sharded engine is broken and the function panics rather than
-// reporting a number that compares different workloads.
-func measureShardScaling(quick bool, maxShards int) *ShardScalingMetric {
-	workers, rounds := 32, 4
-	if quick {
-		workers, rounds = 12, 2
-	}
-	m := &ShardScalingMetric{
-		Workers:    workers,
-		Rounds:     rounds,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	for shards := 1; shards <= maxShards; shards *= 2 {
-		cfg := dtdctcp.DefaultTestbed(dtdctcp.DCTCP(21, 1.0/16), workers)
-		cfg.Shards = shards
-		start := time.Now()
-		res, err := dtdctcp.RunIncast(cfg, rounds)
-		wall := time.Since(start)
-		if err != nil {
-			panic(err)
-		}
-		p := ShardPoint{
-			Shards:     shards,
-			Events:     res.Events,
-			WallMillis: float64(wall.Microseconds()) / 1e3,
-		}
-		if wall > 0 {
-			p.EventsPerSec = float64(res.Events) / wall.Seconds()
-		}
-		if len(m.Points) > 0 {
-			base := m.Points[0]
-			// The serial engine starts rounds 2..N with events on its own
-			// wheel; relay mode starts them with barrier tasks, which are
-			// not engine events. So the shards=1 point carries exactly
-			// rounds−1 extra bookkeeping events, and every sharded point
-			// must match its siblings to the event.
-			want := base.Events
-			if base.Shards == 1 {
-				want -= uint64(rounds - 1)
-			}
-			if p.Events != want {
-				panic(fmt.Sprintf("dtbench: sharding changed the run: %d events at shards=%d, want %d",
-					p.Events, shards, want))
-			}
-			if base.EventsPerSec > 0 {
-				p.Speedup = p.EventsPerSec / base.EventsPerSec
-			}
-		} else {
-			p.Speedup = 1
-		}
-		m.Points = append(m.Points, p)
 	}
 	return m
 }

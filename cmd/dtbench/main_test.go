@@ -6,15 +6,17 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dtdctcp/internal/baseline"
 )
 
-func readFile(t *testing.T, path string) File {
+func readFile(t *testing.T, path string) baseline.File[Snapshot] {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f File
+	var f baseline.File[Snapshot]
 	if err := json.Unmarshal(raw, &f); err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +26,7 @@ func readFile(t *testing.T, path string) File {
 func TestMergeDemotesCurrentToHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 
-	if err := merge(path, &Snapshot{Label: "first"}); err != nil {
+	if err := baseline.Merge(path, schema, &Snapshot{Label: "first"}); err != nil {
 		t.Fatal(err)
 	}
 	f := readFile(t, path)
@@ -32,7 +34,7 @@ func TestMergeDemotesCurrentToHistory(t *testing.T) {
 		t.Fatalf("after first merge: %+v", f)
 	}
 
-	if err := merge(path, &Snapshot{Label: "second"}); err != nil {
+	if err := baseline.Merge(path, schema, &Snapshot{Label: "second"}); err != nil {
 		t.Fatal(err)
 	}
 	f = readFile(t, path)
@@ -43,7 +45,7 @@ func TestMergeDemotesCurrentToHistory(t *testing.T) {
 		t.Fatalf("history = %+v, want [first]", f.History)
 	}
 
-	if err := merge(path, &Snapshot{Label: "third"}); err != nil {
+	if err := baseline.Merge(path, schema, &Snapshot{Label: "third"}); err != nil {
 		t.Fatal(err)
 	}
 	f = readFile(t, path)
@@ -57,7 +59,7 @@ func TestMergeRejectsCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := merge(path, &Snapshot{Label: "x"}); err == nil {
+	if err := baseline.Merge(path, schema, &Snapshot{Label: "x"}); err == nil {
 		t.Fatal("corrupt baseline accepted")
 	}
 }
@@ -71,7 +73,7 @@ func TestCommittedBaselineParses(t *testing.T) {
 	if err != nil {
 		t.Skipf("no committed baseline: %v", err)
 	}
-	var f File
+	var f baseline.File[Snapshot]
 	if err := json.Unmarshal(raw, &f); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,6 +30,7 @@ import (
 	"time"
 
 	"dtdctcp"
+	"dtdctcp/internal/baseline"
 	"dtdctcp/internal/chaos"
 	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/runner"
@@ -63,14 +63,6 @@ type Snapshot struct {
 	Flows     int      `json:"flows"`
 	RateBps   int64    `json:"rate_bps"`
 	Reports   []Report `json:"reports"`
-}
-
-// File is the on-disk layout, mirroring dtbench: the latest snapshot
-// plus every snapshot it replaced, oldest first.
-type File struct {
-	Schema  string     `json:"schema"`
-	Current *Snapshot  `json:"current"`
-	History []Snapshot `json:"history,omitempty"`
 }
 
 const schema = "dtchaos/v1"
@@ -153,7 +145,7 @@ func run(args []string, w *os.File) error {
 	if *out == "" {
 		return nil
 	}
-	return merge(*out, snap)
+	return baseline.Merge(*out, schema, snap)
 }
 
 func selectPlans(profiles, planPath string) ([]*chaos.Plan, error) {
@@ -307,27 +299,4 @@ func printTable(w *os.File, reports []Report) {
 			r.Profile, r.Protocol, r.QueueMeanPkts, r.QueueStdPkts,
 			r.FaultDrops, drain, relock, r.Utilization)
 	}
-}
-
-// merge writes snap as the file's Current, demoting any previous
-// Current to the end of History (the dtbench convention).
-func merge(path string, snap *Snapshot) error {
-	var f File
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &f); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-		if f.Current != nil {
-			f.History = append(f.History, *f.Current)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	f.Schema = schema
-	f.Current = snap
-	raw, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }

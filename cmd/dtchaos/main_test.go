@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dtdctcp"
+	"dtdctcp/internal/baseline"
 	"dtdctcp/internal/chaos"
 )
 
@@ -89,17 +91,17 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 
 func TestMergeKeepsHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chaos.json")
-	if err := merge(path, &Snapshot{Label: "first"}); err != nil {
+	if err := baseline.Merge(path, schema, &Snapshot{Label: "first"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := merge(path, &Snapshot{Label: "second"}); err != nil {
+	if err := baseline.Merge(path, schema, &Snapshot{Label: "second"}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f File
+	var f baseline.File[Snapshot]
 	if err := json.Unmarshal(raw, &f); err != nil {
 		t.Fatal(err)
 	}
@@ -134,5 +136,48 @@ func TestSelectPlans(t *testing.T) {
 	}
 	if _, err := selectPlans("", filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("missing plan file accepted")
+	}
+}
+
+// TestRunWritesReport drives the whole CLI path on one profile: the
+// table on the output stream, the metrics file, and the snapshot merged
+// into a fresh report file.
+func TestRunWritesReport(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "chaos.json")
+	mpath := filepath.Join(dir, "metrics.json")
+	w, err := os.Create(filepath.Join(dir, "table.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	err = run([]string{"-profiles", "blackout", "-flows", "4", "-rate", "1000000000",
+		"-workers", "1", "-label", "test", "-metrics", mpath, "-o", path}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := os.ReadFile(w.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(table), "profile") || !strings.Contains(string(table), "blackout") {
+		t.Fatalf("table missing header or profile row:\n%s", table)
+	}
+	if fi, err := os.Stat(mpath); err != nil || fi.Size() == 0 {
+		t.Fatalf("metrics file missing or empty: %v", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f baseline.File[Snapshot]
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatal(err)
+	}
+	if f.Schema != schema || f.Current == nil || f.Current.Label != "test" || len(f.Current.Reports) == 0 {
+		t.Fatalf("report %q: current %+v", f.Schema, f.Current)
+	}
+	if err := run([]string{"-frobnicate"}, w); err == nil {
+		t.Fatal("unknown flag accepted")
 	}
 }

@@ -39,7 +39,6 @@ type settings struct {
 	rounds   int
 	seeds    int
 	workers  int
-	shards   int
 	// collect, when non-nil, receives observability snapshots from the
 	// figures that support them (-metrics flag).
 	collect *[]metrics.Named
@@ -51,7 +50,6 @@ func run(args []string, out io.Writer) error {
 		figs       = fs.String("fig", "1,2,6,9,10,11,12,14,15", "comma-separated figure ids to run (extensions: aqm, d2, buildup, zoo)")
 		short      = fs.Bool("short", false, "reduced durations for a quick pass")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent sweep points (results are identical for any value)")
-		shards     = fs.Int("shards", 1, "shard domains of each packet-level run across this many parallel event wheels (results are byte-identical for any count)")
 		metricsOut = fs.String("metrics", "", "write observability snapshots of the fig-1 runs as JSON to this path")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this path")
@@ -75,10 +73,6 @@ func run(args []string, out io.Writer) error {
 	s.workers = *workers
 	if s.workers < 1 {
 		s.workers = 1
-	}
-	s.shards = *shards
-	if s.shards < 1 {
-		s.shards = 1
 	}
 	var collected []metrics.Named
 	if *metricsOut != "" {
@@ -153,7 +147,6 @@ func fig1(s settings, out io.Writer) error {
 			Warmup:           s.warmup,
 			QueueSampleEvery: 25 * time.Microsecond,
 			Seed:             1,
-			Shards:           s.shards,
 			Metrics:          s.collect != nil,
 		})
 		if err != nil {
@@ -295,7 +288,6 @@ func figSweep(s settings, out io.Writer) error {
 		Duration:   s.duration,
 		Warmup:     s.warmup,
 		Seed:       1,
-		Shards:     s.shards,
 	}
 	flows := make([]int, 0, 19)
 	for n := 10; n <= 100; n += 5 {
@@ -338,7 +330,7 @@ func fig14(s settings, out io.Writer) error {
 	}
 	// Each point simulates both protocols in its own engines; the rows
 	// come back in input order regardless of the worker count.
-	rows, err := runner.Map(context.Background(), len(workers), runner.Options{Workers: s.workers, ThreadsPerJob: s.shards},
+	rows, err := runner.Map(context.Background(), len(workers), runner.Options{Workers: s.workers},
 		func(_ context.Context, i int) (incastRow, error) {
 			var r incastRow
 			var err error
@@ -379,7 +371,6 @@ func incastPoint(p dtdctcp.Protocol, n int, s settings) (goodput float64, timeou
 	for seed := int64(1); seed <= int64(s.seeds); seed++ {
 		cfg := dtdctcp.DefaultTestbed(p, n)
 		cfg.Seed = seed
-		cfg.Shards = s.shards
 		res, err := dtdctcp.RunIncast(cfg, s.rounds)
 		if err != nil {
 			return 0, 0, err
@@ -396,7 +387,7 @@ func fig15(s settings, out io.Writer) error {
 	fmt.Fprintln(out, "   n | DCTCP   mean      p95      max | DT-DCTCP mean      p95      max")
 	counts := []int{8, 16, 24, 32, 40, 48, 56, 64}
 	type completionRow struct{ dc, dt *dtdctcp.QueryResult }
-	rows, err := runner.Map(context.Background(), len(counts), runner.Options{Workers: s.workers, ThreadsPerJob: s.shards},
+	rows, err := runner.Map(context.Background(), len(counts), runner.Options{Workers: s.workers},
 		func(_ context.Context, i int) (completionRow, error) {
 			var r completionRow
 			var err error
@@ -421,7 +412,6 @@ func fig15(s settings, out io.Writer) error {
 
 func completionPoint(p dtdctcp.Protocol, n int, s settings) (*dtdctcp.QueryResult, error) {
 	cfg := dtdctcp.DefaultTestbed(p, n)
-	cfg.Shards = s.shards
 	return dtdctcp.RunCompletionTime(cfg, s.rounds)
 }
 
@@ -456,7 +446,6 @@ func extAQM(s settings, out io.Writer) error {
 			Duration:   s.duration,
 			Warmup:     s.warmup,
 			Seed:       1,
-			Shards:     s.shards,
 		})
 		if err != nil {
 			return err
@@ -510,7 +499,6 @@ func extZoo(s settings, out io.Writer) error {
 			dtdctcp.DCTCP(20, 1.0/16),
 		} {
 			cfg := dtdctcp.DefaultTestbed(p, w)
-			cfg.Shards = s.shards
 			res, err := dtdctcp.RunIncast(cfg, s.rounds)
 			if err != nil {
 				return err
@@ -533,7 +521,6 @@ func extZoo(s settings, out io.Writer) error {
 			Duration:   s.duration,
 			Warmup:     s.warmup,
 			Seed:       1,
-			Shards:     s.shards,
 		})
 		if err != nil {
 			return err
@@ -558,7 +545,6 @@ func extZoo(s settings, out io.Writer) error {
 			Duration:     s.duration,
 			Warmup:       s.warmup,
 			Seed:         1,
-			Shards:       s.shards,
 			SharedBuffer: dtdctcp.SharedBufferConfig{Alpha: alpha},
 		})
 		if err != nil {
@@ -585,7 +571,6 @@ func extDeadlines(s settings, out io.Writer) error {
 		} {
 			cfg := dtdctcp.DefaultTestbed(p, 32)
 			cfg.Deadline = deadline
-			cfg.Shards = s.shards
 			res, err := dtdctcp.RunIncast(cfg, s.rounds)
 			if err != nil {
 				return err

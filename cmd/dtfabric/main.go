@@ -7,10 +7,7 @@
 // Reports follow the dtbench file conventions — {schema, current,
 // history[]} with -o merging — but deliberately record no wall-clock
 // state: a report is a pure function of its flags, so committed
-// baselines diff cleanly. The -verify-shards flag makes the determinism
-// contract executable: every listed shard count must reproduce the
-// serial digest bit for bit, and the verified counts are recorded in
-// the report.
+// baselines diff cleanly.
 //
 // Usage:
 //
@@ -27,11 +24,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"dtdctcp"
+	"dtdctcp/internal/baseline"
 	"dtdctcp/internal/flowgen"
 )
 
@@ -58,23 +54,12 @@ type Config struct {
 	MarkK2       int     `json:"mark_k2"`
 }
 
-// Snapshot is one complete dtfabric run: the two protocols side by
-// side, plus the shard counts whose digests were verified against the
-// serial run.
+// Snapshot is one complete dtfabric run: the protocols side by side.
 type Snapshot struct {
-	Label          string                  `json:"label"`
-	GoVersion      string                  `json:"go_version"`
-	Config         Config                  `json:"config"`
-	Results        []*dtdctcp.FabricResult `json:"results"`
-	ShardsVerified []int                   `json:"shards_verified,omitempty"`
-}
-
-// File is the on-disk layout shared with dtbench: the latest snapshot
-// plus every snapshot it replaced, oldest first.
-type File struct {
-	Schema  string     `json:"schema"`
-	Current *Snapshot  `json:"current"`
-	History []Snapshot `json:"history,omitempty"`
+	Label     string                  `json:"label"`
+	GoVersion string                  `json:"go_version"`
+	Config    Config                  `json:"config"`
+	Results   []*dtdctcp.FabricResult `json:"results"`
 }
 
 const schema = "dtfabric/v1"
@@ -104,8 +89,6 @@ func run(args []string) error {
 		smallMax = fs.Int64("small-max", 100_000, "largest small-bucket flow in bytes")
 		largeMin = fs.Int64("large-min", 1_000_000, "smallest large-bucket flow in bytes")
 		seed     = fs.Int64("seed", 1, "simulation seed")
-		shards   = fs.Int("shards", 1, "event wheels for the reported runs (1 = serial)")
-		verify   = fs.String("verify-shards", "", "comma-separated shard counts that must reproduce the serial digest (e.g. 1,2,4)")
 		markK    = fs.Int("K", 20, "DCTCP marking threshold in packets")
 		markK1   = fs.Int("K1", 15, "DT-DCTCP lower threshold in packets")
 		markK2   = fs.Int("K2", 25, "DT-DCTCP upper threshold in packets")
@@ -149,7 +132,6 @@ func run(args []string) error {
 		SmallMax:     *smallMax,
 		LargeMin:     *largeMin,
 		Seed:         *seed,
-		Shards:       *shards,
 	}
 	protocols := []dtdctcp.Protocol{
 		dtdctcp.DCTCP(*markK, *g),
@@ -179,10 +161,6 @@ func run(args []string) error {
 		snap.Config.Leaves, snap.Config.Spines, snap.Config.HostsPerLeaf = *leaves, *spines, *hostsPer
 	}
 
-	verifyCounts, err := parseShardList(*verify)
-	if err != nil {
-		return err
-	}
 	for _, p := range protocols {
 		cfg := base
 		cfg.Protocol = p
@@ -192,33 +170,15 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "dtfabric: %s: %d/%d flows, digest %s, %d events\n",
 			p.Name, res.Completed, res.Flows, res.Digest, res.Events)
-		for _, sc := range verifyCounts {
-			if sc == cfg.Shards {
-				continue // already the reported run
-			}
-			vc := cfg
-			vc.Shards = sc
-			vres, err := dtdctcp.RunFabric(vc)
-			if err != nil {
-				return fmt.Errorf("%s shards=%d: %w", p.Name, sc, err)
-			}
-			if vres.Digest != res.Digest {
-				return fmt.Errorf("%s: shards=%d digest %s != shards=%d digest %s",
-					p.Name, sc, vres.Digest, cfg.Shards, res.Digest)
-			}
-			fmt.Fprintf(os.Stderr, "dtfabric: %s: shards=%d reproduces digest %s\n",
-				p.Name, sc, vres.Digest)
-		}
 		snap.Results = append(snap.Results, res)
 	}
-	snap.ShardsVerified = verifyCounts
 
 	if *out == "" {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(snap)
 	}
-	return merge(*out, snap)
+	return baseline.Merge(*out, schema, snap)
 }
 
 // loadCDF resolves a builtin name, falling back to a trace file path.
@@ -234,45 +194,4 @@ func loadCDF(name string) (*dtdctcp.FlowSizeCDF, error) {
 	}
 	defer f.Close()
 	return dtdctcp.ParseFlowCDF(f)
-}
-
-func parseShardList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -verify-shards entry %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// merge writes snap as the file's Current, demoting any previous
-// Current to the end of History.
-func merge(path string, snap *Snapshot) error {
-	var f File
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &f); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-		if f.Schema != "" && f.Schema != schema {
-			return fmt.Errorf("%s has schema %q, want %q", path, f.Schema, schema)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	if f.Current != nil {
-		f.History = append(f.History, *f.Current)
-	}
-	f.Schema = schema
-	f.Current = snap
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

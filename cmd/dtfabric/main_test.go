@@ -1,28 +1,37 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dtdctcp/internal/baseline"
 )
 
-// TestQuickRunVerifiedSharded drives the whole CLI path: a quick
-// leaf-spine pair with shard verification against the serial digest,
-// merged into a fresh report file.
-func TestQuickRunVerifiedSharded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fabric.json")
-	if err := run([]string{"-quick", "-verify-shards", "1,2", "-o", path, "-label", "test"}); err != nil {
-		t.Fatal(err)
-	}
+// readReport decodes a dtfabric report file.
+func readReport(t *testing.T, path string) baseline.File[Snapshot] {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f File
+	var f baseline.File[Snapshot]
 	if err := json.Unmarshal(data, &f); err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
+
+// TestQuickRun drives the whole CLI path: a quick leaf-spine pair merged
+// into a fresh report file.
+func TestQuickRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fabric.json")
+	if err := run([]string{"-quick", "-o", path, "-label", "test"}); err != nil {
+		t.Fatal(err)
+	}
+	f := readReport(t, path)
 	if f.Schema != schema {
 		t.Fatalf("schema %q, want %q", f.Schema, schema)
 	}
@@ -35,9 +44,6 @@ func TestQuickRunVerifiedSharded(t *testing.T) {
 				res.Protocol, res.Completed, res.Flows, res.Digest)
 		}
 	}
-	if len(f.Current.ShardsVerified) != 2 {
-		t.Fatalf("shards verified %v, want [1 2]", f.Current.ShardsVerified)
-	}
 	if f.Current.Label != "test" {
 		t.Fatalf("label %q", f.Current.Label)
 	}
@@ -45,20 +51,13 @@ func TestQuickRunVerifiedSharded(t *testing.T) {
 
 func TestMergeDemotesCurrentToHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fabric.json")
-	if err := merge(path, &Snapshot{Label: "first"}); err != nil {
+	if err := baseline.Merge(path, schema, &Snapshot{Label: "first"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := merge(path, &Snapshot{Label: "second"}); err != nil {
+	if err := baseline.Merge(path, schema, &Snapshot{Label: "second"}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
-	}
+	f := readReport(t, path)
 	if f.Current.Label != "second" || len(f.History) != 1 || f.History[0].Label != "first" {
 		t.Fatalf("merge did not demote: current %q, history %+v", f.Current.Label, f.History)
 	}
@@ -69,7 +68,7 @@ func TestMergeRejectsForeignSchema(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"schema":"dtbench/v1"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := merge(path, &Snapshot{}); err == nil {
+	if err := baseline.Merge(path, schema, &Snapshot{}); err == nil {
 		t.Fatal("merged into a dtbench file")
 	}
 }
@@ -91,18 +90,37 @@ func TestLoadCDFFromFile(t *testing.T) {
 	}
 }
 
-func TestParseShardList(t *testing.T) {
-	got, err := parseShardList("1, 2,4")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[2] != 4 {
-		t.Fatalf("parseShardList: %v, %v", got, err)
+// TestMergeKeepsRetiredFields pins that a merge never drops a recorded
+// measurement: a history entry carrying a field Snapshot no longer has
+// comes through a -o run byte for byte.
+func TestMergeKeepsRetiredFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fabric.json")
+	entry := `{
+      "label": "old",
+      "shards_verified": [
+        1,
+        2
+      ]
+    }`
+	old := "{\n  \"schema\": \"" + schema + "\",\n  \"current\": null,\n  \"history\": [\n    " + entry + "\n  ]\n}\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []string{"0", "-1", "x", "1,,2"} {
-		if _, err := parseShardList(bad); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
+	if err := run([]string{"-quick", "-o", path}); err != nil {
+		t.Fatal(err)
 	}
-	if got, err := parseShardList(""); err != nil || got != nil {
-		t.Fatalf("empty list: %v, %v", got, err)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw struct {
+		History []json.RawMessage `json:"history"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.History) != 1 || !bytes.Equal(raw.History[0], []byte(entry)) {
+		t.Fatalf("history after merge %s, want the entry unchanged:\n%s", raw.History, entry)
 	}
 }
 
@@ -110,7 +128,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
 		"bad matrix":  {"-quick", "-matrix", "butterfly"},
 		"bad cdf":     {"-quick", "-cdf", "no-such"},
-		"bad verify":  {"-quick", "-verify-shards", "zero,"},
 		"bad topo":    {"-topo", "torus", "-flows", "10"},
 		"unknown arg": {"-frobnicate"},
 	} {

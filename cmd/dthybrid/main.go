@@ -10,10 +10,7 @@
 // Reports follow the dtbench file conventions — {schema, current,
 // history[]} with -o merging. Simulation results are pure functions of
 // the flags; wall-clock timings are recorded alongside as advisory
-// context (they vary by machine, the event counts do not). The
-// -verify-shards flag makes the determinism contract executable: every
-// listed shard count must reproduce the serial hybrid digest bit for
-// bit.
+// context (they vary by machine, the event counts do not).
 //
 // Usage:
 //
@@ -29,11 +26,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"dtdctcp"
+	"dtdctcp/internal/baseline"
 )
 
 // Config echoes the flags that shaped a snapshot, so a committed report
@@ -66,8 +62,7 @@ type Run struct {
 }
 
 // Snapshot is one complete dthybrid run: hybrid and reference modes on
-// the same scenario, the event-count ratio between them, and the shard
-// counts whose digests were verified against the serial hybrid run.
+// the same scenario and the event-count ratio between them.
 type Snapshot struct {
 	Label     string `json:"label"`
 	GoVersion string `json:"go_version"`
@@ -80,16 +75,7 @@ type Snapshot struct {
 	EventRatio float64 `json:"event_ratio"`
 	// WallSpeedup is packet wall time / hybrid wall time on the machine
 	// that produced the snapshot. Advisory: machines differ.
-	WallSpeedup    float64 `json:"wall_speedup"`
-	ShardsVerified []int   `json:"shards_verified,omitempty"`
-}
-
-// File is the on-disk layout shared with dtbench: the latest snapshot
-// plus every snapshot it replaced, oldest first.
-type File struct {
-	Schema  string     `json:"schema"`
-	Current *Snapshot  `json:"current"`
-	History []Snapshot `json:"history,omitempty"`
+	WallSpeedup float64 `json:"wall_speedup"`
 }
 
 const schema = "dthybrid/v1"
@@ -120,8 +106,6 @@ func run(args []string) error {
 		duration = fs.Duration("duration", 45*time.Millisecond, "measured interval")
 		rtoMin   = fs.Duration("rto-min", 10*time.Millisecond, "datacenter RTO floor for all senders")
 		seed     = fs.Int64("seed", 1, "simulation seed")
-		shards   = fs.Int("shards", 1, "event wheels for the reported runs (1 = serial)")
-		verify   = fs.String("verify-shards", "", "comma-separated shard counts that must reproduce the serial hybrid digest (e.g. 1,2)")
 		quick    = fs.Bool("quick", false, "small scenario for a fast smoke pass")
 		out      = fs.String("o", "", "merge the snapshot into this JSON file (previous current moves to history)")
 		label    = fs.String("label", "", "snapshot label")
@@ -160,11 +144,6 @@ func run(args []string) error {
 		Warmup:           *warmup,
 		QueueSampleEvery: *rtt / 5,
 		Seed:             *seed,
-		Shards:           *shards,
-	}
-	verifyCounts, err := parseShardList(*verify)
-	if err != nil {
-		return err
 	}
 
 	snap := &Snapshot{
@@ -189,6 +168,7 @@ func run(args []string) error {
 		snap.Config.MarkK1, snap.Config.MarkK2 = *markK1, *markK2
 	}
 
+	var err error
 	snap.Hybrid, err = timedRun(base)
 	if err != nil {
 		return fmt.Errorf("hybrid: %w", err)
@@ -214,30 +194,12 @@ func run(args []string) error {
 	fmt.Fprintf(os.Stderr, "dthybrid: event ratio %.1fx, wall speedup %.1fx\n",
 		snap.EventRatio, snap.WallSpeedup)
 
-	for _, sc := range verifyCounts {
-		if sc == base.Shards {
-			continue // already the reported run
-		}
-		vc := base
-		vc.Shards = sc
-		vres, err := dtdctcp.RunHybrid(vc)
-		if err != nil {
-			return fmt.Errorf("shards=%d: %w", sc, err)
-		}
-		if vres.Digest != snap.Hybrid.Result.Digest {
-			return fmt.Errorf("shards=%d digest %s != shards=%d digest %s",
-				sc, vres.Digest, base.Shards, snap.Hybrid.Result.Digest)
-		}
-		fmt.Fprintf(os.Stderr, "dthybrid: shards=%d reproduces digest %s\n", sc, vres.Digest)
-	}
-	snap.ShardsVerified = verifyCounts
-
 	if *out == "" {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(snap)
 	}
-	return merge(*out, snap)
+	return baseline.Merge(*out, schema, snap)
 }
 
 // timedRun executes one mode and wraps it with this machine's timing.
@@ -253,45 +215,4 @@ func timedRun(cfg dtdctcp.HybridConfig) (Run, error) {
 		r.EventsPerWallSec = float64(res.Events) / wall
 	}
 	return r, nil
-}
-
-func parseShardList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -verify-shards entry %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// merge writes snap as the file's Current, demoting any previous
-// Current to the end of History.
-func merge(path string, snap *Snapshot) error {
-	var f File
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &f); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-		if f.Schema != "" && f.Schema != schema {
-			return fmt.Errorf("%s has schema %q, want %q", path, f.Schema, schema)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	if f.Current != nil {
-		f.History = append(f.History, *f.Current)
-	}
-	f.Schema = schema
-	f.Current = snap
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -5,24 +5,32 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dtdctcp/internal/baseline"
 )
 
-// TestQuickRunVerifiedSharded drives the whole CLI path: a quick
-// hybrid/packet pair with shard verification against the serial hybrid
-// digest, merged into a fresh report file.
-func TestQuickRunVerifiedSharded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hybrid.json")
-	if err := run([]string{"-quick", "-verify-shards", "1,2", "-o", path, "-label", "test"}); err != nil {
-		t.Fatal(err)
-	}
+// readReport decodes a dthybrid report file.
+func readReport(t *testing.T, path string) baseline.File[Snapshot] {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f File
+	var f baseline.File[Snapshot]
 	if err := json.Unmarshal(data, &f); err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
+
+// TestQuickRun drives the whole CLI path: a quick hybrid/packet pair
+// merged into a fresh report file.
+func TestQuickRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hybrid.json")
+	if err := run([]string{"-quick", "-o", path, "-label", "test"}); err != nil {
+		t.Fatal(err)
+	}
+	f := readReport(t, path)
 	if f.Schema != schema {
 		t.Fatalf("schema %q, want %q", f.Schema, schema)
 	}
@@ -45,9 +53,6 @@ func TestQuickRunVerifiedSharded(t *testing.T) {
 	if f.Current.EventRatio <= 1 {
 		t.Fatalf("event ratio %.2f, want > 1 (the hybrid must need fewer events)", f.Current.EventRatio)
 	}
-	if len(f.Current.ShardsVerified) != 2 {
-		t.Fatalf("shards verified %v, want [1 2]", f.Current.ShardsVerified)
-	}
 	if f.Current.Label != "test" {
 		t.Fatalf("label %q", f.Current.Label)
 	}
@@ -60,14 +65,7 @@ func TestQuickRunVerifiedSharded(t *testing.T) {
 // counts are pure functions of the recorded config, so this pin is
 // machine-independent.
 func TestCommittedBaselinePinsSpeedAdvantage(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "HYBRID_baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
-	}
+	f := readReport(t, filepath.Join("..", "..", "HYBRID_baseline.json"))
 	if f.Schema != schema {
 		t.Fatalf("schema %q, want %q", f.Schema, schema)
 	}
@@ -83,27 +81,17 @@ func TestCommittedBaselinePinsSpeedAdvantage(t *testing.T) {
 	if f.Current.Hybrid.Result == nil || f.Current.Hybrid.Result.Digest == "" {
 		t.Fatal("baseline hybrid result missing a digest")
 	}
-	if len(f.Current.ShardsVerified) == 0 {
-		t.Fatal("baseline was not shard-verified")
-	}
 }
 
 func TestMergeDemotesCurrentToHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hybrid.json")
-	if err := merge(path, &Snapshot{Label: "first"}); err != nil {
+	if err := baseline.Merge(path, schema, &Snapshot{Label: "first"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := merge(path, &Snapshot{Label: "second"}); err != nil {
+	if err := baseline.Merge(path, schema, &Snapshot{Label: "second"}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
-	}
+	f := readReport(t, path)
 	if f.Current.Label != "second" || len(f.History) != 1 || f.History[0].Label != "first" {
 		t.Fatalf("merge did not demote: current %q, history %+v", f.Current.Label, f.History)
 	}
@@ -114,30 +102,14 @@ func TestMergeRejectsForeignSchema(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"schema":"dtbench/v1"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := merge(path, &Snapshot{}); err == nil {
+	if err := baseline.Merge(path, schema, &Snapshot{}); err == nil {
 		t.Fatal("merged into a dtbench file")
-	}
-}
-
-func TestParseShardList(t *testing.T) {
-	got, err := parseShardList("1, 2,4")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[2] != 4 {
-		t.Fatalf("parseShardList: %v, %v", got, err)
-	}
-	for _, bad := range []string{"0", "-1", "x", "1,,2"} {
-		if _, err := parseShardList(bad); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
-	}
-	if got, err := parseShardList(""); err != nil || got != nil {
-		t.Fatalf("empty list: %v, %v", got, err)
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
 		"bad proto":   {"-quick", "-proto", "cubic"},
-		"bad verify":  {"-quick", "-verify-shards", "zero,"},
 		"bad config":  {"-bg", "-1"},
 		"unknown arg": {"-frobnicate"},
 	} {

@@ -49,7 +49,6 @@ func run(args []string, out io.Writer) error {
 		duration    = fs.Duration("duration", 100*time.Millisecond, "measured interval")
 		warmup      = fs.Duration("warmup", 20*time.Millisecond, "warmup excluded from statistics")
 		seed        = fs.Int64("seed", 1, "random seed")
-		shards      = fs.Int("shards", 1, "shard domains across this many parallel event wheels (results are byte-identical for any count)")
 		plot        = fs.Bool("plot", false, "print an ASCII queue trace")
 		csvPath     = fs.String("csv", "", "write the queue trace as CSV to this path")
 		tracing     = fs.String("trace", "", "write per-packet bottleneck events as JSONL to this path")
@@ -98,7 +97,6 @@ func run(args []string, out io.Writer) error {
 		Duration:         *duration,
 		Warmup:           *warmup,
 		Seed:             *seed,
-		Shards:           *shards,
 		AlphaSampleEvery: time.Millisecond,
 	}
 	if *sbAlpha > 0 {

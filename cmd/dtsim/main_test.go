@@ -74,7 +74,7 @@ func TestRunCSVBadPath(t *testing.T) {
 	}
 }
 
-func TestRunMetricsPlotShardsAndProfiles(t *testing.T) {
+func TestRunMetricsPlotAndProfiles(t *testing.T) {
 	dir := t.TempDir()
 	mjson := filepath.Join(dir, "m.json")
 	mprom := filepath.Join(dir, "m.prom")
@@ -82,7 +82,7 @@ func TestRunMetricsPlotShardsAndProfiles(t *testing.T) {
 	mem := filepath.Join(dir, "mem.pprof")
 	var out strings.Builder
 	err := run([]string{"-flows", "2", "-duration", "3ms", "-warmup", "1ms",
-		"-shards", "2", "-plot",
+		"-plot",
 		"-metrics", mjson, "-metrics-prom", mprom,
 		"-cpuprofile", cpu, "-memprofile", mem}, &out)
 	if err != nil {

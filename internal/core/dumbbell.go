@@ -43,14 +43,6 @@ type DumbbellConfig struct {
 	AlphaSampleEvery time.Duration
 	// Seed drives all randomness (start jitter).
 	Seed int64
-	// Shards, when above one, executes this single run in parallel on
-	// that many event wheels under conservative-lookahead (epoch
-	// barrier) synchronization; see netsim.Network.Partition. Results
-	// are byte-identical for any shard count — shards=1 (or zero) is
-	// the plain serial engine. Sharded runs reject Chaos and
-	// MetricsSampleEvery: both schedule coordinator-side events that
-	// have no sharded equivalent yet.
-	Shards int
 	// TraceTo, when set, streams the bottleneck port's per-packet
 	// events (enqueue/dequeue/mark/drop, plus fault events when Chaos
 	// is set) as JSON Lines.
@@ -120,17 +112,6 @@ func (s SharedBufferConfig) build(sw *netsim.Switch, bneck *netsim.Port, bufferP
 	return pool, nil
 }
 
-// pinPool lists the domain of every pool member port, for pinning to
-// shard 0: the pool counter mutates on every member enqueue/dequeue, so
-// Partition requires all members on one shard.
-func pinPool(nw *netsim.Network, pool *netsim.SharedBuffer) []int {
-	var pins []int
-	for _, p := range pool.Ports() {
-		pins = append(pins, nw.PortDomain(p))
-	}
-	return pins
-}
-
 func (c DumbbellConfig) validate() error {
 	switch {
 	case c.Flows <= 0:
@@ -143,12 +124,6 @@ func (c DumbbellConfig) validate() error {
 		return errors.New("core: BufferPkts must be positive")
 	case c.Duration <= 0:
 		return errors.New("core: Duration must be positive")
-	case c.Shards < 0:
-		return errors.New("core: Shards must not be negative")
-	case c.Shards > 1 && c.Chaos != nil:
-		return errors.New("core: Chaos requires serial execution (Shards <= 1)")
-	case c.Shards > 1 && c.MetricsSampleEvery > 0:
-		return errors.New("core: MetricsSampleEvery requires serial execution (Shards <= 1)")
 	default:
 		return nil
 	}
@@ -213,30 +188,12 @@ type DumbbellResult struct {
 	Metrics *metrics.Snapshot
 }
 
-// testPermuteAssign, when non-nil, rewrites the domain→shard assignment
-// of sharded runs before Partition. It exists only for the metamorphic
-// determinism tests, which assert that results do not depend on where
-// domains land (every cross-domain delivery goes through the barrier
-// mailbox, whose sort key uses domain indices, never shard indices).
-var testPermuteAssign func(assign []int)
-
 // RunDumbbell executes the scenario to completion and aggregates results.
 func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// A sharded run builds the identical topology on the coordinator's
-	// shard-0 engine — same creation order, same RNG stream — so the
-	// serial and sharded paths stay byte-identical by construction.
-	sharded := cfg.Shards > 1
-	var se *sim.ShardedEngine
-	var engine *sim.Engine
-	if sharded {
-		se = sim.NewShardedEngine(cfg.Seed, cfg.Shards)
-		engine = se.Shard(0)
-	} else {
-		engine = sim.NewEngine(cfg.Seed)
-	}
+	engine := sim.NewEngine(cfg.Seed)
 	nw := netsim.NewNetwork(engine)
 	sw := nw.AddSwitch("sw")
 	rcv := nw.AddHost("rcv")
@@ -278,34 +235,10 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 			return nil, err
 		}
 	}
-	if sharded {
-		// Partition after routes (source-side egress resolution reads
-		// them) and before endpoints (they bind Host.Engine at
-		// construction). The bottleneck port's domain is pinned to
-		// shard 0: a randomized AQM law draws from the root RNG at
-		// runtime, and shard 0 is the one whose stream equals the
-		// serial engine's. Shared-buffer member ports are pinned with
-		// it — the pool counter must live on a single shard.
-		pins := []int{nw.PortDomain(bneck)}
-		if sb := bneck.Shared(); sb != nil {
-			pins = append(pins, pinPool(nw, sb)...)
-		}
-		assign := nw.DefaultAssign(cfg.Shards, pins...)
-		if testPermuteAssign != nil {
-			testPermuteAssign(assign)
-		}
-		if err := nw.Partition(se, assign); err != nil {
-			return nil, err
-		}
-	}
 
 	var obs *observer
 	if cfg.Metrics || cfg.MetricsSampleEvery > 0 {
-		engineStats := engine.Stats
-		if sharded {
-			engineStats = se.Stats
-		}
-		obs = newObserver(engine, engineStats, cfg.MetricsSampleEvery)
+		obs = newObserver(engine, cfg.MetricsSampleEvery)
 	}
 
 	rec := netsim.NewQueueRecorder(pktSize, sim.FromDuration(cfg.QueueSampleEvery))
@@ -353,83 +286,43 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 		obs.startSampler(bneck, pktSize, flows)
 	}
 
-	// The periodic samplers below read state owned by many domains
-	// (every sender's α, the bottleneck's byte counter). Serial runs
-	// schedule them as ordinary self-rechaining events; sharded runs
-	// hoist the same chains to barrier tasks, which fire in coordinator
-	// context once every shard has processed all events before the tick
-	// instant — the serial sampler's view, at the serial tick's place in
-	// the (at, schedAt, seq) order.
-
 	// α sampling (Fig. 12): a periodic event records the mean α.
 	var alphaSeries *stats.Series
 	if cfg.AlphaSampleEvery > 0 {
 		alphaSeries = stats.NewSeries("alpha")
-		if sharded {
-			var tick func(now sim.Time)
-			tick = func(now sim.Time) {
-				alphaSeries.Add(now.Seconds(), flows.MeanAlpha())
-				se.ScheduleBarrier(now.Add(cfg.AlphaSampleEvery), tick)
-			}
-			se.ScheduleBarrier(sim.FromDuration(cfg.AlphaSampleEvery), tick)
-		} else {
-			var tick func()
-			tick = func() {
-				alphaSeries.Add(engine.Now().Seconds(), flows.MeanAlpha())
-				engine.After(cfg.AlphaSampleEvery, tick)
-			}
+		var tick func()
+		tick = func() {
+			alphaSeries.Add(engine.Now().Seconds(), flows.MeanAlpha())
 			engine.After(cfg.AlphaSampleEvery, tick)
 		}
+		engine.After(cfg.AlphaSampleEvery, tick)
 	}
 	// Aggregate α as a time-weighted mean over the measured interval.
 	var alphaAgg stats.TimeWeighted
 	alphaEvery := cfg.RTT // one α observation per RTT is plenty
-	if sharded {
-		var alphaTick func(now sim.Time)
-		alphaTick = func(now sim.Time) {
-			if now >= sim.FromDuration(cfg.Warmup) {
-				alphaAgg.Observe(now.Seconds(), flows.MeanAlpha())
-			}
-			se.ScheduleBarrier(now.Add(alphaEvery), alphaTick)
-		}
-		se.ScheduleBarrier(sim.FromDuration(alphaEvery), alphaTick)
-	} else {
-		var alphaTick func()
-		alphaTick = func() {
-			if engine.Now() >= sim.FromDuration(cfg.Warmup) {
-				alphaAgg.Observe(engine.Now().Seconds(), flows.MeanAlpha())
-			}
-			engine.After(alphaEvery, alphaTick)
+	var alphaTick func()
+	alphaTick = func() {
+		if engine.Now() >= sim.FromDuration(cfg.Warmup) {
+			alphaAgg.Observe(engine.Now().Seconds(), flows.MeanAlpha())
 		}
 		engine.After(alphaEvery, alphaTick)
 	}
+	engine.After(alphaEvery, alphaTick)
 
 	// Snapshot bottleneck byte counts at the warmup boundary for the
 	// utilization computation.
 	var bytesAtWarmup uint64
-	if sharded {
-		se.ScheduleBarrier(sim.FromDuration(cfg.Warmup), func(sim.Time) {
-			bytesAtWarmup = bneck.Stats().BytesSent
-		})
-	} else {
-		engine.Schedule(sim.FromDuration(cfg.Warmup), func() {
-			bytesAtWarmup = bneck.Stats().BytesSent
-		})
-	}
+	engine.Schedule(sim.FromDuration(cfg.Warmup), func() {
+		bytesAtWarmup = bneck.Stats().BytesSent
+	})
 	if obs != nil {
 		obs.observeUtilization(bneck, &bytesAtWarmup,
 			cfg.Rate.BytesPerSecond()*cfg.Duration.Seconds())
 	}
 
 	end := sim.FromDuration(cfg.Warmup + cfg.Duration)
-	if sharded {
-		if err := se.RunUntil(end); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := engine.RunUntil(end); err != nil {
-			return nil, err
-		}
+	if err := engine.RunUntil(end); err != nil {
+		return nil, err
 	}
 	rec.Finish(end)
 	alphaAgg.Finish(end.Seconds())
@@ -448,9 +341,6 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 		Drops:         bneck.Stats().DroppedOverflow,
 		Timeouts:      flows.Timeouts(),
 		Events:        engine.Stats().Processed,
-	}
-	if sharded {
-		res.Events = se.Stats().Processed
 	}
 	acked := make([]float64, len(flows.Senders))
 	for i, snd := range flows.Senders {
@@ -520,9 +410,7 @@ func SweepFlowsParallel(ctx context.Context, base DumbbellConfig, flows []int, w
 	if base.TraceTo != nil {
 		workers = 1
 	}
-	// A sharded point occupies one goroutine per shard; shrink the worker
-	// pool so the sweep does not oversubscribe the machine.
-	return runner.Map(ctx, len(flows), runner.Options{Workers: workers, ThreadsPerJob: base.Shards},
+	return runner.Map(ctx, len(flows), runner.Options{Workers: workers},
 		func(_ context.Context, i int) (FlowSweepPoint, error) {
 			cfg := base
 			cfg.Flows = flows[i]

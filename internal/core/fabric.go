@@ -18,13 +18,6 @@ import (
 // drawn from an empirical size CDF arrive open-loop at a fraction of
 // the fabric's bisection bandwidth, and completion times are bucketed
 // small/medium/large.
-//
-// Sharded fabric runs require a queue law with no runtime randomness —
-// the threshold-marking laws (DCTCP's single and DT-DCTCP's double
-// threshold) qualify. A randomized law (PIE) draws from its port's RNG
-// at runtime, which is only the serial stream on shard 0; pinning every
-// fabric port there would serialize the run, so dtfabric simply does
-// not offer those laws.
 type FabricConfig struct {
 	// Protocol selects endpoints and the queue law on every fabric port.
 	Protocol Protocol
@@ -59,9 +52,6 @@ type FabricConfig struct {
 	SmallMax, LargeMin int64
 	// Seed drives all randomness: trace generation and the ECMP salt.
 	Seed int64
-	// Shards, when above one, executes the run on that many event
-	// wheels; results are byte-identical for any shard count.
-	Shards int
 	// Metrics attaches the observability registry: the result carries a
 	// dtmetrics/v1 snapshot with per-bucket FCT histograms, tier queue
 	// histograms, and engine counters.
@@ -84,8 +74,6 @@ func (c FabricConfig) validate() error {
 		return errors.New("core: Load must be positive")
 	case c.Flows <= 0:
 		return errors.New("core: Flows must be positive")
-	case c.Shards < 0:
-		return errors.New("core: Shards must not be negative")
 	default:
 		return nil
 	}
@@ -170,15 +158,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 		cfg.LargeMin = 1_000_000
 	}
 
-	sharded := cfg.Shards > 1
-	var se *sim.ShardedEngine
-	var engine *sim.Engine
-	if sharded {
-		se = sim.NewShardedEngine(cfg.Seed, cfg.Shards)
-		engine = se.Shard(0)
-	} else {
-		engine = sim.NewEngine(cfg.Seed)
-	}
+	engine := sim.NewEngine(cfg.Seed)
 	nw := netsim.NewNetwork(engine)
 
 	pktSize := cfg.Protocol.PacketSize()
@@ -200,8 +180,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 	}
 
 	// Per-port depth histograms, one bucket per buffer slot capped at
-	// 64. Monitors fire on the owning shard; the merge below runs after
-	// the run, in port order, so tier aggregates are shard-invariant.
+	// 64, merged into tier aggregates in port order after the run.
 	bucketW := float64(cfg.BufferPkts) / 64
 	if bucketW < 1 {
 		bucketW = 1
@@ -218,19 +197,8 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 	coreHists := observe(fab.CorePorts())
 	aggHists := observe(fab.AggPorts())
 
-	if sharded {
-		assign := nw.DefaultAssign(cfg.Shards)
-		if testPermuteAssign != nil {
-			testPermuteAssign(assign)
-		}
-		if err := nw.Partition(se, assign); err != nil {
-			return nil, err
-		}
-	}
-
-	// The workload draws the entire trace from the construction engine's
-	// stream before constructing endpoints, so the sharded run sees the
-	// byte-identical trace the serial run does.
+	// The workload draws the entire trace from the engine's stream
+	// before constructing endpoints.
 	w, err := flowgen.Start(fab.Hosts, flowgen.Config{
 		CDF:         cfg.CDF,
 		Load:        cfg.Load,
@@ -244,12 +212,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 	}
 
 	end := w.LastArrival().Add(cfg.Drain)
-	if sharded {
-		err = se.RunUntil(end)
-	} else {
-		err = engine.RunUntil(end)
-	}
-	if err != nil {
+	if err := engine.RunUntil(end); err != nil {
 		return nil, err
 	}
 
@@ -265,9 +228,6 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 		Timeouts:        w.TotalTimeouts(),
 		Retransmissions: w.TotalRetransmissions(),
 		Events:          engine.Stats().Processed,
-	}
-	if sharded {
-		res.Events = se.Stats().Processed
 	}
 
 	core := metrics.NewHistogram(bounds)
@@ -297,11 +257,7 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 
 	if cfg.Metrics {
 		reg := metrics.NewRegistry()
-		if sharded {
-			metrics.InstrumentEngineStats(reg, se.Stats)
-		} else {
-			metrics.InstrumentEngine(reg, engine)
-		}
+		metrics.InstrumentEngine(reg, engine)
 		w.RecordFCT(reg, cfg.SmallMax, cfg.LargeMin)
 		reg.Histogram("fabric_queue_pkts", "egress queue depth by switch tier",
 			bounds, metrics.L("tier", "core")).Merge(core)
@@ -333,7 +289,7 @@ func SweepLoads(base FabricConfig, loads []float64) ([]LoadSweepPoint, error) {
 // private engine seeded only by base.Seed, so results are
 // byte-identical for any worker count; they are returned in load order.
 func SweepLoadsParallel(ctx context.Context, base FabricConfig, loads []float64, workers int) ([]LoadSweepPoint, error) {
-	return runner.Map(ctx, len(loads), runner.Options{Workers: workers, ThreadsPerJob: base.Shards},
+	return runner.Map(ctx, len(loads), runner.Options{Workers: workers},
 		func(_ context.Context, i int) (LoadSweepPoint, error) {
 			cfg := base
 			cfg.Load = loads[i]

@@ -58,9 +58,6 @@ type HybridConfig struct {
 	FullPacket bool
 	// Seed drives all randomness (start jitter).
 	Seed int64
-	// Shards, when above one, executes the run on that many event
-	// wheels; results are byte-identical for any shard count.
-	Shards int
 	// Metrics enables the observability registry snapshot. Collection
 	// is pull-based: enabling it changes no event order and no result.
 	Metrics bool
@@ -88,8 +85,6 @@ func (c HybridConfig) validate() error {
 		return errors.New("core: CouplingInterval must not be negative")
 	case c.StepsPerTick < 0:
 		return errors.New("core: StepsPerTick must not be negative")
-	case c.Shards < 0:
-		return errors.New("core: Shards must not be negative")
 	case !c.FullPacket && c.Protocol.MarkingLaw() == nil:
 		return errors.New("core: hybrid mode requires a protocol with a marking law")
 	default:
@@ -178,15 +173,7 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	sharded := cfg.Shards > 1
-	var se *sim.ShardedEngine
-	var engine *sim.Engine
-	if sharded {
-		se = sim.NewShardedEngine(cfg.Seed, cfg.Shards)
-		engine = se.Shard(0)
-	} else {
-		engine = sim.NewEngine(cfg.Seed)
-	}
+	engine := sim.NewEngine(cfg.Seed)
 	nw := netsim.NewNetwork(engine)
 	sw := nw.AddSwitch("sw")
 	rcv := nw.AddHost("rcv")
@@ -233,26 +220,9 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 	}
 
 	bneck := sw.PortTo(rcv.ID())
-	if sharded {
-		// Partition after routes, before endpoints; the bottleneck —
-		// and with it the coupler's tick chain — is pinned to shard 0,
-		// whose RNG stream equals the serial engine's.
-		assign := nw.DefaultAssign(cfg.Shards, nw.PortDomain(bneck))
-		if testPermuteAssign != nil {
-			testPermuteAssign(assign)
-		}
-		if err := nw.Partition(se, assign); err != nil {
-			return nil, err
-		}
-	}
-
 	var obs *observer
 	if cfg.Metrics {
-		engineStats := engine.Stats
-		if sharded {
-			engineStats = se.Stats
-		}
-		obs = newObserver(engine, engineStats, 0)
+		obs = newObserver(engine, 0)
 	}
 
 	rec := netsim.NewQueueRecorder(pktSize, sim.FromDuration(cfg.QueueSampleEvery))
@@ -309,14 +279,8 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 		})
 	}
 
-	if sharded {
-		if err := se.RunUntil(end); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := engine.RunUntil(end); err != nil {
-			return nil, err
-		}
+	if err := engine.RunUntil(end); err != nil {
+		return nil, err
 	}
 	rec.Finish(end)
 
@@ -336,9 +300,6 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 	}
 	if cfg.FullPacket {
 		res.Mode = "packet"
-	}
-	if sharded {
-		res.Events = se.Stats().Processed
 	}
 	if coupler != nil {
 		res.FluidFinal = coupler.Stepper().State()
@@ -372,8 +333,8 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 // digest folds every deterministic result field into one FNV-1a word:
 // the exact bit patterns of the queue aggregates and trace, the fluid
 // state, and every foreground FCT. Two runs agree on the digest iff they
-// agree on all of them — "same seed → same result, for any shard count
-// and with metrics on or off" is a one-word comparison.
+// agree on all of them — "same seed → same result, with metrics on or
+// off" is a one-word comparison.
 func (r *HybridResult) digest() string {
 	h := fnv.New64a()
 	var buf [8]byte

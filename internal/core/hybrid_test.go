@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -103,23 +104,34 @@ func TestHybridRepeatRunsAreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestHybridShardsAreByteIdentical is determinism satellite 1b: sharded
-// execution (fluid coupler pinned to shard 0) reproduces the serial
-// digest exactly.
+// TestHybridShardsAreByteIdentical checks that hybrid runs executing
+// concurrently, each on its own engine and fluid coupler, reproduce the
+// serial digest exactly. The name predates the removal of the single-run
+// sharded engine; concurrent independent runs are the parallelism that
+// remains, and they must share no state.
 func TestHybridShardsAreByteIdentical(t *testing.T) {
 	serial, err := RunHybrid(hybridTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2} {
-		cfg := hybridTestConfig()
-		cfg.Shards = shards
-		res, err := RunHybrid(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+	const runs = 2
+	results := make([]*HybridResult, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = RunHybrid(hybridTestConfig())
+		}(i)
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
 		}
 		if res.Digest != serial.Digest {
-			t.Fatalf("shards=%d digest %s, serial %s", shards, res.Digest, serial.Digest)
+			t.Fatalf("concurrent run %d digest %s, serial %s", i, res.Digest, serial.Digest)
 		}
 	}
 }
@@ -160,7 +172,6 @@ func TestHybridConfigValidation(t *testing.T) {
 		func(c *HybridConfig) { c.Warmup = -time.Second },
 		func(c *HybridConfig) { c.CouplingInterval = -time.Second },
 		func(c *HybridConfig) { c.StepsPerTick = -1 },
-		func(c *HybridConfig) { c.Shards = -1 },
 		func(c *HybridConfig) { c.Protocol = Reno() }, // no marking law in hybrid mode
 	}
 	for i, mutate := range bad {

@@ -25,17 +25,10 @@ type observer struct {
 }
 
 // newObserver builds a registry over the engine, with a sampler when
-// sampleEvery is positive. stats overrides the engine-counter source —
-// sharded runs pass the coordinator's merged Stats so the snapshot
-// reports run-wide totals; nil uses the engine's own. The sampler always
-// ticks on the given engine and is gated off for sharded runs by config
-// validation, not here.
-func newObserver(engine *sim.Engine, stats func() sim.EngineStats, sampleEvery time.Duration) *observer {
+// sampleEvery is positive.
+func newObserver(engine *sim.Engine, sampleEvery time.Duration) *observer {
 	o := &observer{reg: metrics.NewRegistry()}
-	if stats == nil {
-		stats = engine.Stats
-	}
-	metrics.InstrumentEngineStats(o.reg, stats)
+	metrics.InstrumentEngine(o.reg, engine)
 	if sampleEvery > 0 {
 		o.sampler = metrics.NewSampler(o.reg, engine, sampleEvery)
 	}

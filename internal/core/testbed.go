@@ -56,15 +56,6 @@ type TestbedConfig struct {
 	FreshConnections bool
 	// Seed drives randomness.
 	Seed int64
-	// Shards, when above one, executes this single run in parallel on
-	// that many event wheels under conservative-lookahead (epoch
-	// barrier) synchronization; see netsim.Network.Partition and
-	// workload.StartQueriesSharded. Results are byte-identical for any
-	// shard count — shards=1 (or zero) is the plain serial engine.
-	// Sharded runs reject Chaos and FreshConnections (serial-only
-	// features) and require Gap ≥ 2×HopDelay so round boundaries clear
-	// the epoch barriers.
-	Shards int
 
 	// Chaos, when set, applies a fault-injection plan to the topology.
 	// Plans may target "bottleneck" (core switch → aggregator),
@@ -108,24 +99,14 @@ func (c TestbedConfig) validate() error {
 		return errors.New("core: buffers must be positive")
 	case c.HopDelay <= 0:
 		return errors.New("core: HopDelay must be positive")
-	case c.Shards < 0:
-		return errors.New("core: Shards must not be negative")
-	case c.Shards > 1 && c.Chaos != nil:
-		return errors.New("core: Chaos requires serial execution (Shards <= 1)")
-	case c.Shards > 1 && c.FreshConnections:
-		return errors.New("core: FreshConnections requires serial execution (Shards <= 1)")
-	case c.Shards > 1 && c.Gap < 2*c.HopDelay:
-		return errors.New("core: sharded queries need Gap >= 2*HopDelay (round starts must clear the epoch barrier)")
 	default:
 		return nil
 	}
 }
 
-// testbed is a built topology ready to carry queries. se is non-nil
-// when the topology was partitioned for sharded execution.
+// testbed is a built topology ready to carry queries.
 type testbed struct {
 	engine     *sim.Engine
-	se         *sim.ShardedEngine
 	aggregator *netsim.Host
 	workers    []*netsim.Host
 	bneck      *netsim.Port
@@ -134,17 +115,7 @@ type testbed struct {
 
 // buildTestbed constructs the Fig. 13 topology.
 func buildTestbed(cfg TestbedConfig) (*testbed, error) {
-	// A sharded build uses the coordinator's shard-0 engine for
-	// construction — same creation order, same RNG stream as serial.
-	sharded := cfg.Shards > 1
-	var se *sim.ShardedEngine
-	var engine *sim.Engine
-	if sharded {
-		se = sim.NewShardedEngine(cfg.Seed, cfg.Shards)
-		engine = se.Shard(0)
-	} else {
-		engine = sim.NewEngine(cfg.Seed)
-	}
+	engine := sim.NewEngine(cfg.Seed)
 	nw := netsim.NewNetwork(engine)
 	core := nw.AddSwitch("switch1")
 	agg := nw.AddHost("aggregator")
@@ -187,29 +158,9 @@ func buildTestbed(cfg TestbedConfig) (*testbed, error) {
 			return nil, err
 		}
 	}
-	if sharded {
-		// Partition after routes and before endpoints. The bottleneck
-		// port's domain is pinned to shard 0: a randomized AQM law
-		// (PIE) draws from the root RNG at runtime, and shard 0's
-		// stream equals the serial engine's. Shared-buffer member
-		// ports are pinned with it — the pool counter must live on a
-		// single shard.
-		pins := []int{nw.PortDomain(bneck)}
-		if sb := bneck.Shared(); sb != nil {
-			pins = append(pins, pinPool(nw, sb)...)
-		}
-		assign := nw.DefaultAssign(cfg.Shards, pins...)
-		if err := nw.Partition(se, assign); err != nil {
-			return nil, err
-		}
-	}
 	var obs *observer
 	if cfg.Metrics {
-		engineStats := engine.Stats
-		if sharded {
-			engineStats = se.Stats
-		}
-		obs = newObserver(engine, engineStats, 0)
+		obs = newObserver(engine, 0)
 		pktSize := cfg.Protocol.PacketSize()
 		bufferPkts := cfg.BottleneckBuffer / pktSize
 		if bufferPkts < 1 {
@@ -233,7 +184,6 @@ func buildTestbed(cfg TestbedConfig) (*testbed, error) {
 	}
 	return &testbed{
 		engine:     engine,
-		se:         se,
 		aggregator: agg,
 		workers:    workers,
 		bneck:      bneck,
@@ -269,8 +219,8 @@ type QueryResult struct {
 	MissedDeadlines  int
 	DeadlineMissRate float64
 
-	// Events is the number of simulator events processed (summed over
-	// shards when the run was sharded), for throughput accounting.
+	// Events is the number of simulator events processed, for
+	// throughput accounting.
 	Events uint64
 
 	// Metrics is the run's observability snapshot; nil unless
@@ -306,21 +256,12 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 		StartJitter:    cfg.StartJitter,
 		Deadline:       cfg.Deadline,
 	}
-	var queries *workload.QueryRunner
-	if tb.se != nil {
-		queries = workload.StartQueriesSharded(tb.se, qcfg)
-	} else {
-		queries = workload.StartQueries(tb.engine, qcfg)
-	}
+	queries := workload.StartQueries(tb.engine, qcfg)
 
 	// Generous horizon: every round can absorb several full backoff
 	// chains before we declare the run wedged.
 	horizon := time.Duration(rounds) * (10*time.Second + 4*time.Duration(cfg.Workers)*time.Millisecond)
-	if tb.se != nil {
-		if err := tb.se.RunFor(horizon); err != nil {
-			return nil, err
-		}
-	} else if err := tb.engine.RunFor(horizon); err != nil {
+	if err := tb.engine.RunFor(horizon); err != nil {
 		return nil, err
 	}
 	if !queries.Done() {
@@ -344,9 +285,6 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 		MissedDeadlines:  queries.TotalMissedDeadlines(),
 		Events:           tb.engine.Stats().Processed,
 	}
-	if tb.se != nil {
-		res.Events = tb.se.Stats().Processed
-	}
 	if cfg.Deadline > 0 {
 		total := float64(res.Rounds * cfg.Workers)
 		if total > 0 {
@@ -354,11 +292,7 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 		}
 	}
 	if tb.obs != nil {
-		at := tb.engine.Now()
-		if tb.se != nil {
-			at = tb.se.Now()
-		}
-		res.Metrics = tb.obs.snapshot(at)
+		res.Metrics = tb.obs.snapshot(tb.engine.Now())
 	}
 	return res, nil
 }
@@ -399,9 +333,7 @@ func SweepWorkers(base TestbedConfig, workers []int, rounds int,
 // worker count; they are returned in the order of workers.
 func SweepWorkersParallel(ctx context.Context, base TestbedConfig, workers []int, rounds, par int,
 	run func(TestbedConfig, int) (*QueryResult, error)) ([]WorkerSweepPoint, error) {
-	// A sharded point occupies one goroutine per shard; shrink the worker
-	// pool so the sweep does not oversubscribe the machine.
-	return runner.Map(ctx, len(workers), runner.Options{Workers: par, ThreadsPerJob: base.Shards},
+	return runner.Map(ctx, len(workers), runner.Options{Workers: par},
 		func(_ context.Context, i int) (WorkerSweepPoint, error) {
 			cfg := base
 			cfg.Workers = workers[i]

@@ -5,9 +5,8 @@
 //
 // The whole trace — sizes, arrivals, source/destination pairs — is
 // generated up front from the network construction engine's seeded
-// source, before any endpoint exists. Sharded execution therefore sees
-// the byte-identical trace the serial run does: the generator never
-// consumes run-time randomness.
+// source, before any endpoint exists: the generator never consumes
+// run-time randomness.
 package flowgen
 
 import (

@@ -89,8 +89,7 @@ type Flow struct {
 	// Arrival is the flow's open-loop start instant.
 	Arrival sim.Time
 	// fct is the completion instant; done guards it. Written by the
-	// sender's OnComplete on the sender's shard — distinct flows touch
-	// distinct elements, so sharded workers never contend.
+	// sender's OnComplete.
 	fct  sim.Time
 	done bool
 }
@@ -113,13 +112,11 @@ type Workload struct {
 // sizes, interarrivals, endpoint choices — is drawn here, from the
 // network construction engine's seeded source, so the trace is a pure
 // function of the run seed. Endpoint construction and StartAt
-// scheduling also happen here, at setup time: on a partitioned network
-// every shard clock is still zero, so cross-shard scheduling is safe
-// (the same contract workload.StartLongLived relies on).
+// scheduling also happen here, at setup time.
 //
 // Each flow is a fresh connection: a new sender/receiver pair in slow
-// start. On completion the sender unregisters its host-side endpoint on
-// its own shard — host tables shrink as the trace drains — and the
+// start. On completion the sender unregisters its host-side endpoint —
+// host tables shrink as the trace drains — and the
 // receiver side is detached by Cleanup after the run.
 func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 	n := len(hosts)
@@ -263,8 +260,7 @@ func (w *Workload) Cleanup() {
 // Digest folds every flow's trace entry and outcome — size, arrival,
 // endpoints, completion time — into one FNV-1a word, in flow order. Two
 // runs agree on the digest iff they agree on the whole trace and every
-// FCT, making "same seed → same result, regardless of shard count" a
-// one-word comparison.
+// FCT, making "same seed → same result" a one-word comparison.
 func (w *Workload) Digest() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -32,10 +32,10 @@
 // side's queue contribution feeds the other's congestion signals.
 //
 // Ticks are engine events stamped with a reserved source key
-// (SrcKey), far above any topology domain index, so same-instant ties
-// between a tick and packet deliveries resolve by the identical
-// (at, schedAt, srcKey, srcSeq) ordering key in serial and sharded runs
-// — the coupling never perturbs the determinism contract.
+// (SrcKey), far above any topology domain index. Under the engine's
+// (at, schedAt, srcKey, srcSeq, seq) ordering key, a tick tied with a
+// packet delivery on both firing and scheduling instant runs after it,
+// whatever order the two were scheduled in.
 package hybrid
 
 import (
@@ -65,8 +65,8 @@ type Config struct {
 	// Interval/StepsPerTick.
 	Fluid fluid.Config
 	// Port is the bottleneck egress the background flows share with
-	// foreground traffic. It must be pinned to the engine the Coupler is
-	// started on (shard 0 in sharded runs).
+	// foreground traffic. It must run on the engine the Coupler is
+	// started on.
 	Port *netsim.Port
 	// PktSize converts fluid packets to bytes; zero selects 1500.
 	PktSize int

@@ -11,19 +11,15 @@ import (
 //	//dtlint:allow analyzer[,analyzer...]: reason   suppress findings (reason required)
 //	//dtlint:allow analyzer[,analyzer...] -- reason legacy separator, still accepted
 //	//dtlint:hotpath                                mark a function as a zero-alloc hot path
-//	//dtlint:shardboundary reason                   mark a function as the sharded sync layer
 //
 // An allow annotation covers its own line and the line directly below it.
-// A hotpath or shardboundary annotation marks the function declaration it
-// documents (any line of the doc comment) or, for function literals, the
-// line directly above the literal. A shardboundary annotation requires a
-// reason, like an allow: it exempts a whole function from soloengine's
-// concurrency bans, and that much power must carry its justification.
+// A hotpath annotation marks the function declaration it documents (any
+// line of the doc comment) or, for function literals, the line directly
+// above the literal.
 
 const (
-	allowMarker         = "dtlint:allow"
-	hotpathMarker       = "dtlint:hotpath"
-	shardBoundaryMarker = "dtlint:shardboundary"
+	allowMarker   = "dtlint:allow"
+	hotpathMarker = "dtlint:hotpath"
 )
 
 // parseAllowComment parses the body of one comment (with or without the
@@ -244,104 +240,6 @@ func (p *Pass) HotFuncs() []hotFunc {
 		})
 	}
 	return out
-}
-
-// shardIndex records which functions carry a well-formed (reasoned)
-// //dtlint:shardboundary annotation. The soloengine analyzer skips the
-// bodies of marked functions: they are the explicitly sanctioned
-// synchronization layer of the sharded coordinator, the one place where
-// goroutines and channels are part of the design rather than a leak.
-type shardIndex struct {
-	// markerLines maps filename → set of lines bearing a reasoned marker.
-	markerLines map[string]map[int]bool
-}
-
-// parseShardBoundaryComment parses one comment as a shardboundary
-// annotation. ok is false when the comment is not the marker at all; a
-// marker without a reason returns ok=true with reason == "".
-func parseShardBoundaryComment(text string) (reason string, ok bool) {
-	body := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(text), "//"))
-	rest, found := strings.CutPrefix(body, shardBoundaryMarker)
-	if !found {
-		return "", false
-	}
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return "", false
-	}
-	return strings.TrimSpace(rest), true
-}
-
-// buildShardIndex scans all comments for //dtlint:shardboundary markers.
-// Only reasoned markers enter the index; a reasonless one exempts nothing
-// and surfaces as a framework diagnostic, mirroring the allow grammar.
-func buildShardIndex(fset *token.FileSet, files []*ast.File) (*shardIndex, []Diagnostic) {
-	si := &shardIndex{markerLines: make(map[string]map[int]bool)}
-	var diags []Diagnostic
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				reason, ok := parseShardBoundaryComment(c.Text)
-				if !ok {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				if reason == "" {
-					diags = append(diags, Diagnostic{
-						Pos:      pos,
-						Analyzer: allowDiagAnalyzer,
-						Message:  "dtlint:shardboundary without a reason exempts nothing; write //dtlint:shardboundary <why this function is the sanctioned sync layer>",
-					})
-					continue
-				}
-				lines := si.markerLines[pos.Filename]
-				if lines == nil {
-					lines = make(map[int]bool)
-					si.markerLines[pos.Filename] = lines
-				}
-				lines[pos.Line] = true
-			}
-		}
-	}
-	return si, diags
-}
-
-// boundaryDecl reports whether a function declaration carries a reasoned
-// shardboundary marker: in its doc comment or on the line directly above.
-func (si *shardIndex) boundaryDecl(fset *token.FileSet, fd *ast.FuncDecl) bool {
-	pos := fset.Position(fd.Pos())
-	lines := si.markerLines[pos.Filename]
-	if lines == nil {
-		return false
-	}
-	if fd.Doc != nil {
-		for _, c := range fd.Doc.List {
-			if lines[fset.Position(c.Pos()).Line] {
-				return true
-			}
-		}
-	}
-	return lines[pos.Line-1]
-}
-
-// boundaryLit reports whether a function literal carries the marker on
-// its own line or the line directly above it.
-func (si *shardIndex) boundaryLit(fset *token.FileSet, lit *ast.FuncLit) bool {
-	pos := fset.Position(lit.Pos())
-	lines := si.markerLines[pos.Filename]
-	if lines == nil {
-		return false
-	}
-	return lines[pos.Line] || lines[pos.Line-1]
-}
-
-// shardBoundary returns the pass's shardboundary index, building it on
-// first use.
-func (p *Pass) shardBoundary() *shardIndex {
-	if p.shardb == nil {
-		si, _ := buildShardIndex(p.Fset, p.Files)
-		p.shardb = si
-	}
-	return p.shardb
 }
 
 // funcDeclName renders "Recv.Name" for methods and "Name" for functions.

@@ -71,10 +71,9 @@ type Pass struct {
 	// TypesInfo holds the type-checker's expression annotations.
 	TypesInfo *types.Info
 
-	allow  allowIndex
-	diags  *[]Diagnostic
-	hot    *hotIndex
-	shardb *shardIndex
+	allow allowIndex
+	diags *[]Diagnostic
+	hot   *hotIndex
 }
 
 // Diagnostic is one finding, resolved to a file position.
@@ -124,8 +123,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	for _, pkg := range pkgs {
 		allow, allowDiags := buildAllowIndex(pkg.Fset, pkg.Files)
 		diags = append(diags, allowDiags...)
-		shardb, shardDiags := buildShardIndex(pkg.Fset, pkg.Files)
-		diags = append(diags, shardDiags...)
 		for _, a := range analyzers {
 			if a.Applies != nil && !a.Applies(pkg.ImportPath) {
 				continue
@@ -138,7 +135,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				TypesInfo: pkg.TypesInfo,
 				allow:     allow,
 				diags:     &diags,
-				shardb:    shardb,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.ImportPath, err)

@@ -343,79 +343,6 @@ func install() {
 	}
 }
 
-// TestShardBoundaryGrammar pins the marker parser: reasoned markers
-// carry their justification, reasonless ones are distinguishable, and
-// near-miss words are not markers at all.
-func TestShardBoundaryGrammar(t *testing.T) {
-	cases := []struct {
-		text   string
-		reason string
-		ok     bool
-	}{
-		{"//dtlint:shardboundary epoch barrier fan-out", "epoch barrier fan-out", true},
-		{"//dtlint:shardboundary", "", true},
-		{"//dtlint:shardboundary   ", "", true},
-		{"//dtlint:shardboundaryish", "", false},
-		{"//dtlint:hotpath", "", false},
-		{"// ordinary comment", "", false},
-	}
-	for _, c := range cases {
-		reason, ok := parseShardBoundaryComment(c.text)
-		if ok != c.ok || reason != c.reason {
-			t.Errorf("parseShardBoundaryComment(%q) = (%q, %v), want (%q, %v)",
-				c.text, reason, ok, c.reason, c.ok)
-		}
-	}
-}
-
-// TestShardBoundaryDiagnostics pins the reason requirement: a reasonless
-// shardboundary marker exempts nothing and surfaces as a framework
-// diagnostic, while a reasoned one enters the index.
-func TestShardBoundaryDiagnostics(t *testing.T) {
-	src := `package p
-
-//dtlint:shardboundary
-func bare() {}
-
-//dtlint:shardboundary coordinator fan-out
-func reasoned() {}
-`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	si, diags := buildShardIndex(fset, []*ast.File{f})
-	if len(diags) != 1 {
-		t.Fatalf("diagnostics = %d (%v), want 1 (reasonless marker)", len(diags), diags)
-	}
-	if diags[0].Analyzer != allowDiagAnalyzer {
-		t.Errorf("diagnostic analyzer = %q, want %q", diags[0].Analyzer, allowDiagAnalyzer)
-	}
-	if !strings.Contains(diags[0].Message, "without a reason") {
-		t.Errorf("diagnostic message missing reason requirement: %v", diags[0])
-	}
-	if si.markerLines["p.go"][3] {
-		t.Error("reasonless marker entered the index")
-	}
-	if !si.markerLines["p.go"][6] {
-		t.Error("reasoned marker missing from the index")
-	}
-	// Placement: the reasoned marker covers its declaration.
-	var decls []*ast.FuncDecl
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok {
-			decls = append(decls, fd)
-		}
-	}
-	if si.boundaryDecl(fset, decls[0]) {
-		t.Error("reasonless marker exempted its function")
-	}
-	if !si.boundaryDecl(fset, decls[1]) {
-		t.Error("reasoned marker did not exempt its function")
-	}
-}
-
 // TestDiagnosticString pins the file:line:col output format CI logs rely
 // on.
 func TestDiagnosticString(t *testing.T) {

@@ -22,12 +22,6 @@ import (
 // Reads of package-level state (named constants-in-var-form, sentinel
 // errors, interface-conformance declarations) are fine; it is mutation
 // that breaks engine isolation.
-//
-// One escape hatch exists: a function carrying a reasoned
-// //dtlint:shardboundary annotation is the sharded coordinator's
-// synchronization layer — its body (including nested literals, such as
-// the worker goroutines it spawns) is exempt. Everything model-side still
-// runs single-threaded per shard and stays under the ban.
 var SoloEngine = &Analyzer{
 	Name: "soloengine",
 	Doc:  "forbid goroutines, channel ops, and package-level writes in the single-threaded engine core",
@@ -44,21 +38,9 @@ var SoloEngine = &Analyzer{
 
 func runSoloEngine(pass *Pass) error {
 	info := pass.TypesInfo
-	shardb := pass.shardBoundary()
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				// A reasoned shardboundary marker exempts the whole
-				// function body; returning false also covers the worker
-				// goroutine literals nested inside it.
-				if shardb.boundaryDecl(pass.Fset, n) {
-					return false
-				}
-			case *ast.FuncLit:
-				if shardb.boundaryLit(pass.Fset, n) {
-					return false
-				}
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
 					"go statement in the single-threaded engine core: handlers race the event loop; confine concurrency to internal/runner")

@@ -8,15 +8,7 @@ import "dtdctcp/internal/sim"
 // pending-queue depth with its high-water mark. Everything reads
 // sim.EngineStats at snapshot time, so the event loop is untouched.
 func InstrumentEngine(r *Registry, e *sim.Engine) {
-	InstrumentEngineStats(r, e.Stats)
-}
-
-// InstrumentEngineStats registers the same metric family over any
-// EngineStats source — a single engine's Stats, or a ShardedEngine's
-// merged Stats, so a partitioned run exports one coherent set of totals
-// instead of per-shard fragments. The source is only called at snapshot
-// time.
-func InstrumentEngineStats(r *Registry, stats func() sim.EngineStats) {
+	stats := e.Stats
 	r.CounterFunc("sim_events_scheduled_total",
 		"Events ever enqueued on the engine.",
 		func() uint64 { return stats().Scheduled })
@@ -49,6 +41,6 @@ func InstrumentEngineStats(r *Registry, stats func() sim.EngineStats) {
 		"Events currently queued (including uncompacted cancellations).",
 		func() float64 { return float64(stats().Pending) })
 	r.GaugeFunc("sim_events_pending_max",
-		"High-water mark of the pending-event queue (the maximum over shards in a sharded run, since per-shard marks do not align in time).",
+		"High-water mark of the pending-event queue.",
 		func() float64 { return float64(stats().MaxPending) })
 }

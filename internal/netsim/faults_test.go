@@ -328,3 +328,14 @@ func TestFaultDropsRecyclePackets(t *testing.T) {
 		port.SetCorruptProb(0)
 	})
 }
+
+func TestFaultKindString(t *testing.T) {
+	for kind, want := range map[FaultKind]string{
+		FaultCorrupt:  "corrupt",
+		FaultLinkDown: "link-down",
+	} {
+		if got := kind.String(); got != want {
+			t.Errorf("FaultKind(%d).String() = %q, want %q", kind, got, want)
+		}
+	}
+}

@@ -91,6 +91,21 @@ func buildPair(t *testing.T, e *sim.Engine, cfg PortConfig) (*Network, *Host, *H
 	return n, a, b, sw
 }
 
+// TestDomainNumbering pins the stable domain index ComputeRoutes stamps
+// onto every port (host uplinks in creation order, then switch ports in
+// attachment order): same-instant deliveries tie-break on it.
+func TestDomainNumbering(t *testing.T) {
+	_, a, b, sw := buildPair(t, sim.NewEngine(1), linkCfg(Gbps, 25*time.Microsecond, 64, nil))
+	if a.uplink.srcKey != 0 || b.uplink.srcKey != 1 {
+		t.Fatalf("uplink srcKeys %d,%d, want host domains 0,1", a.uplink.srcKey, b.uplink.srcKey)
+	}
+	for i := 0; i < sw.Ports(); i++ {
+		if got := sw.Port(i).srcKey; got != 2+i {
+			t.Fatalf("switch port %d srcKey = %d, want %d", i, got, 2+i)
+		}
+	}
+}
+
 func TestEndToEndDeliveryAndLatency(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := linkCfg(10*Gbps, 25*time.Microsecond, 100, nil)

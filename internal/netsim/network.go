@@ -19,13 +19,6 @@ type Network struct {
 	adjacency map[NodeID][]NodeID
 	// pool recycles packets across the whole topology; see AllocPacket.
 	pool packetPool
-
-	// Sharded execution state (see Partition in shard.go): the
-	// coordinator, one packet free list per shard, and the rebalancing
-	// scratch buffer that levels them between epochs.
-	se         *sim.ShardedEngine
-	shardPools []packetPool
-	spares     []*Packet
 }
 
 // NewNetwork creates an empty topology bound to the engine.
@@ -43,10 +36,7 @@ func (n *Network) AddHost(name string) *Host {
 		name:      name,
 		net:       n,
 		endpoints: make(map[FlowID]Endpoint),
-		engine:    n.engine,
-		pool:      &n.pool,
 	}
-	h.recvArgFn = func(arg any) { h.Receive(arg.(*Packet)) }
 	n.nodes = append(n.nodes, h)
 	n.hosts = append(n.hosts, h)
 	return h
@@ -113,10 +103,7 @@ func (n *Network) attach(from, to Node, cfg PortConfig) (*Port, error) {
 // ComputeRoutes fills every switch's routing table with shortest paths
 // (hop count, BFS). It must be called after the topology is complete and
 // before any traffic is sent. It also stamps every port with its stable
-// shard-domain index (hosts in creation order, then switch ports in
-// switch × attachment order — the same numbering Partition uses), so
-// serial runs order same-instant cross-domain deliveries by the
-// identical key a partitioned run produces at its epoch barriers.
+// domain index (see stampDomains).
 func (n *Network) ComputeRoutes() error {
 	n.stampDomains()
 	for _, s := range n.switches {
@@ -148,11 +135,11 @@ func (n *Network) emptyRoutes() []int32 {
 	return routes
 }
 
-// stampDomains writes the stable shard-domain index onto every port
-// (hosts in creation order, then switch ports in switch × attachment
-// order — the numbering Partition uses), so serial runs order
-// same-instant cross-domain deliveries by the identical key a
-// partitioned run produces at its epoch barriers.
+// stampDomains writes a stable domain index onto every port: host
+// uplinks in host creation order, then switch ports in switch ×
+// attachment order. Ports ship deliveries under it, so the engine orders
+// same-instant deliveries from different ports by this topology-derived
+// index rather than by scheduling order.
 func (n *Network) stampDomains() {
 	d := 0
 	for _, h := range n.hosts {
@@ -176,9 +163,8 @@ func (n *Network) stampDomains() {
 // flow id) over it — see Switch.egress. The salt should come from the
 // topology's seeded engine so placement is a pure function of the run
 // seed; ECMP sets are ordered by port index, so the choice is
-// reproducible and independent of shard count and domain assignment.
-// Like ComputeRoutes, it must be called after the topology is complete
-// and before any traffic (or Partition).
+// reproducible. Like ComputeRoutes, it must be called after the topology
+// is complete and before any traffic.
 func (n *Network) ComputeRoutesECMP(salt uint64) error {
 	n.stampDomains()
 	// dist[x] = hops from node x to the current destination along paths

@@ -42,21 +42,14 @@ type Switch struct {
 	// single entry in routes is the only choice, and the table stays nil
 	// when no destination has a choice. Filled by ComputeRoutesECMP,
 	// read-only afterwards. Sets are ordered by port index so path
-	// selection is a pure function of (hashSalt, switch id, flow id) —
-	// identical in serial and sharded runs.
+	// selection is a pure function of (hashSalt, switch id, flow id).
 	ecmp [][]int32
 	// hashSalt seeds the ECMP flow hash; drawn once per topology from
 	// the engine's seeded source so path placement varies with the run
-	// seed but never with shard count or assignment.
+	// seed.
 	hashSalt uint64
 	// droppedNoRoute counts packets with no matching route.
 	droppedNoRoute uint64
-
-	// Sharded execution (see Network.Partition): routeless packets have
-	// no egress domain, so they are charged to the shard of the first
-	// port, where noRouteFn counts and recycles them.
-	noRouteShard int
-	noRouteFn    func(any)
 }
 
 // ID implements Node.
@@ -82,9 +75,7 @@ func (s *Switch) PortTo(peer NodeID) *Port {
 // egress resolves the packet's output port index: the ECMP set when the
 // destination has several equal-cost next hops, the static route
 // otherwise. ECMP selection hashes (topology salt, switch id, flow id),
-// so a flow's path is fixed for its lifetime and identical whether the
-// lookup runs serially in Receive or at a shipping port's source-side
-// resolution on another shard.
+// so a flow's path is fixed for its lifetime.
 //
 //dtlint:hotpath
 func (s *Switch) egress(pkt *Packet) (int, bool) {
@@ -145,17 +136,6 @@ type Host struct {
 	endpoints map[FlowID]Endpoint
 	// droppedNoFlow counts packets for unknown flows.
 	droppedNoFlow uint64
-
-	// engine is the event wheel this host's endpoints schedule on: the
-	// network's engine in a serial run, the owning shard's under
-	// Partition. pool is the packet free list on the same shard.
-	engine *sim.Engine
-	pool   *packetPool
-	// shard and recvArgFn serve cross-shard delivery: a remote port
-	// ships arriving packets as barrier messages running recvArgFn on
-	// this host's shard.
-	shard     int
-	recvArgFn func(any)
 }
 
 // ID implements Node.
@@ -171,19 +151,13 @@ func (h *Host) Uplink() *Port { return h.uplink }
 // Network returns the network the host belongs to.
 func (h *Host) Network() *Network { return h.net }
 
-// Engine returns the event wheel this host's endpoints must schedule on:
-// the network's engine in a serial run, the owning shard's engine after
-// Network.Partition. Transports bind timers and events through this
-// accessor so the same endpoint code runs serial or sharded unchanged.
-func (h *Host) Engine() *sim.Engine { return h.engine }
+// Engine returns the engine this host's endpoints schedule on.
+func (h *Host) Engine() *sim.Engine { return h.net.engine }
 
-// AllocPacket returns a zeroed packet from the host's free list (the
-// shard-local list under Partition, the network-wide one otherwise).
-// Endpoints must allocate through their host so packet storage stays on
-// the shard that fills it.
+// AllocPacket returns a zeroed packet from the network's free list.
 //
 //dtlint:hotpath
-func (h *Host) AllocPacket() *Packet { return h.pool.get() }
+func (h *Host) AllocPacket() *Packet { return h.net.AllocPacket() }
 
 // Register attaches a transport endpoint for a flow. Registering a second
 // endpoint for the same flow panics: it is always a harness bug.
@@ -214,11 +188,11 @@ func (h *Host) Receive(pkt *Packet) {
 	ep, ok := h.endpoints[pkt.Flow]
 	if !ok {
 		h.droppedNoFlow++
-		h.pool.put(pkt)
+		h.net.FreePacket(pkt)
 		return
 	}
 	ep.Deliver(pkt)
-	h.pool.put(pkt)
+	h.net.FreePacket(pkt)
 }
 
 // DroppedNoFlow reports packets discarded for lack of an endpoint.

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"time"
 
 	"dtdctcp/internal/aqm"
@@ -141,26 +140,14 @@ type Port struct {
 	// free of closure allocations.
 	txDoneFn  func(any)
 	deliverFn func(any)
-	// sendArgFn wraps Send for cross-shard injection: a remote domain
-	// whose route egresses here ships a barrier message that runs it on
-	// this port's shard.
-	sendArgFn func(any)
 
-	// pool is the packet free list drops and deliveries recycle into:
-	// the network-wide pool in a serial run, the owning shard's under
-	// Partition.
-	pool *packetPool
-	// shard and outbox bind the port for sharded execution (nil outbox ⇒
-	// serial). srcKey is the stable domain index the port ships under and
-	// xseq its per-domain monotone delivery counter; ComputeRoutes assigns
-	// srcKey for serial runs too, so a serial engine orders same-instant
-	// deliveries by the identical (srcKey, xseq) key a partitioned run
-	// uses at its barriers. srcKey < 0 means unassigned (a topology that
-	// never computed routes), which falls back to unkeyed scheduling.
-	shard  int
+	// srcKey is the stable domain index the port ships deliveries under
+	// and xseq its monotone delivery counter; ComputeRoutes assigns
+	// srcKey, and the engine breaks same-instant delivery ties by
+	// (srcKey, xseq). srcKey < 0 means unassigned (a topology that never
+	// computed routes), which falls back to unkeyed scheduling.
 	srcKey int
 	xseq   uint64
-	outbox *sim.Outbox
 }
 
 // PortConfig bundles the parameters of one directed link attachment.
@@ -189,13 +176,10 @@ func newPort(net *Network, cfg PortConfig, peer Node) *Port {
 		policy: policy,
 		peer:   peer,
 		queue:  pktRing{buf: make([]*Packet, ringInitialCap)},
-		pool:   &net.pool,
 		srcKey: -1,
 	}
 	//dtlint:hotpath
 	p.deliverFn = func(arg any) { p.peer.Receive(arg.(*Packet)) }
-	//dtlint:hotpath
-	p.sendArgFn = func(arg any) { p.Send(arg.(*Packet)) }
 	//dtlint:hotpath
 	p.txDoneFn = func(arg any) {
 		pkt := arg.(*Packet)
@@ -213,79 +197,21 @@ func newPort(net *Network, cfg PortConfig, peer Node) *Port {
 	return p
 }
 
-// bindShard rebinds the port to its shard's engine, outbox, and pool,
-// recording the stable domain index used as the cross-shard sort key.
-func (p *Port) bindShard(se *sim.ShardedEngine, shard, srcKey int, pool *packetPool) {
-	p.engine = se.Shard(shard)
-	p.shard = shard
-	p.srcKey = srcKey
-	p.outbox = se.Outbox(shard)
-	p.pool = pool
-}
-
 // ship launches a serialized packet onto the wire: arrival at the peer
-// after the propagation delay. Serially that is one self-owned event; a
-// partitioned port instead ships a barrier message to the destination
-// domain, resolving the switch hop at the source (see shard.go) so the
-// message lands directly on the egress port's — or the peer host's —
-// shard. Both paths stamp the delivery with the ship instant and the
-// port's stable (srcKey, xseq) identity, so same-instant arrival ties at
-// the destination resolve identically whether the run is serial or
-// partitioned — a tie between two domains' deliveries is decided by the
-// topology-derived key, never by the engine-local scheduling
-// interleaving, which a partitioned run could not reproduce.
+// after the propagation delay. The delivery is stamped with the port's
+// stable (srcKey, xseq) identity, so a same-instant arrival tie between
+// two ports' deliveries is decided by that topology-derived key, never by
+// the global scheduling interleaving.
 //
 //dtlint:hotpath
 func (p *Port) ship(pkt *Packet) {
-	if p.outbox == nil {
-		if p.srcKey < 0 {
-			// Routes never computed: no stable identity to ship under.
-			p.engine.AfterArg(p.delay, p.deliverFn, pkt)
-			return
-		}
-		now := p.engine.Now()
-		p.engine.ScheduleSrcArg(now.Add(p.delay), p.srcKey, p.xseq, p.deliverFn, pkt)
-		p.xseq++
+	if p.srcKey < 0 {
+		// Routes never computed: no stable identity to ship under.
+		p.engine.AfterArg(p.delay, p.deliverFn, pkt)
 		return
 	}
-	now := p.engine.Now()
-	dst, fn := p.resolveDst(pkt)
-	p.outbox.Ship(sim.Message{
-		At:      now.Add(p.delay),
-		SchedAt: now,
-		SrcKey:  p.srcKey,
-		SrcSeq:  p.xseq,
-		Dst:     dst,
-		Fn:      fn,
-		Arg:     pkt,
-	})
+	p.engine.ScheduleSrcArg(p.engine.Now().Add(p.delay), p.srcKey, p.xseq, p.deliverFn, pkt)
 	p.xseq++
-}
-
-// resolveDst maps a packet to its destination shard and delivery
-// function. Host peers take the packet directly; switch peers are
-// resolved through their routing state to the egress port, whose
-// Send runs on its own shard at the arrival instant — the same
-// Switch.egress lookup (static route or ECMP hash) Receive performs
-// serially, against tables that are read-only after
-// ComputeRoutes/ComputeRoutesECMP.
-//
-//dtlint:hotpath
-func (p *Port) resolveDst(pkt *Packet) (int, func(any)) {
-	switch peer := p.peer.(type) {
-	case *Host:
-		return peer.shard, peer.recvArgFn
-	case *Switch:
-		idx, ok := peer.egress(pkt)
-		if !ok {
-			return peer.noRouteShard, peer.noRouteFn
-		}
-		egress := peer.ports[idx]
-		return egress.shard, egress.sendArgFn
-	default:
-		//dtlint:allow hotalloc: unreachable die path; nodes are hosts or switches
-		panic(fmt.Sprintf("netsim: unknown peer type %T", p.peer))
-	}
 }
 
 // SetMonitor attaches a queue monitor; pass nil to detach.
@@ -466,7 +392,7 @@ func (p *Port) drop(pkt *Packet, overflow bool) {
 	if p.tracer != nil {
 		p.tracer.PacketDropped(p.engine.Now(), pkt, p.queueLen, overflow)
 	}
-	p.pool.put(pkt)
+	p.net.FreePacket(pkt)
 }
 
 // dropFault discards a packet lost to a fault (corruption, dead link):
@@ -486,7 +412,7 @@ func (p *Port) dropFault(pkt *Packet, kind FaultKind) {
 	} else if p.tracer != nil {
 		p.tracer.PacketDropped(p.engine.Now(), pkt, p.queueLen, false)
 	}
-	p.pool.put(pkt)
+	p.net.FreePacket(pkt)
 }
 
 // Send offers a packet to the port. The AQM policy is consulted with the

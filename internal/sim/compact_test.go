@@ -178,27 +178,36 @@ func TestCompactionSpansBothTiers(t *testing.T) {
 	}
 }
 
-// TestNextEventTimeFarTierOnly covers NextEventTime when the near tier is
-// empty and the far tier is not: before the first refill, with the far
-// head cancelled, and after a Stop leaves the near tier drained.
-func TestNextEventTimeFarTierOnly(t *testing.T) {
+// peekAt returns the firing instant at the head of the queue, or
+// TimeNever when it is empty. A lazily cancelled head still counts.
+func peekAt(e *Engine) Time {
+	if ev := e.queue.peek(); ev != nil {
+		return ev.at
+	}
+	return TimeNever
+}
+
+// TestPeekFarTierOnly covers the queue peek when the near tier is empty
+// and the far tier is not: before the first refill, with the far head
+// cancelled, and after a Stop leaves the near tier drained.
+func TestPeekFarTierOnly(t *testing.T) {
 	e := NewEngine(1)
 	ref := e.Schedule(10*nearWindow, func() {})
 	if len(e.queue.near.items) != 0 || len(e.queue.far.items) != 1 {
 		t.Fatal("an event past the first window must wait in the far tier")
 	}
-	if got := e.NextEventTime(); got != 10*nearWindow {
-		t.Fatalf("NextEventTime = %v, want %v", got, 10*nearWindow)
+	if got := peekAt(e); got != 10*nearWindow {
+		t.Fatalf("head at %v, want %v", got, 10*nearWindow)
 	}
 	ref.Cancel()
-	if got := e.NextEventTime(); got != 10*nearWindow {
-		t.Fatalf("NextEventTime = %v with the head cancelled, want the conservative %v", got, 10*nearWindow)
+	if got := peekAt(e); got != 10*nearWindow {
+		t.Fatalf("head at %v with the head cancelled, want the conservative %v", got, 10*nearWindow)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got := e.NextEventTime(); got != TimeNever {
-		t.Fatalf("NextEventTime = %v on an empty queue, want never", got)
+	if got := peekAt(e); got != TimeNever {
+		t.Fatalf("head at %v on an empty queue, want never", got)
 	}
 
 	start := e.Now()
@@ -211,7 +220,7 @@ func TestNextEventTimeFarTierOnly(t *testing.T) {
 		t.Fatalf("after Stop the tiers hold %d near and %d far events, want 0 and 1",
 			len(e.queue.near.items), len(e.queue.far.items))
 	}
-	if got := e.NextEventTime(); got != start+20*nearWindow {
-		t.Fatalf("NextEventTime = %v, want %v", got, start+20*nearWindow)
+	if got := peekAt(e); got != start+20*nearWindow {
+		t.Fatalf("head at %v, want %v", got, start+20*nearWindow)
 	}
 }

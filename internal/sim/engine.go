@@ -113,24 +113,24 @@ func (e *Engine) recycle(ev *Event) {
 //
 //dtlint:hotpath
 func (e *Engine) enqueue(at Time) *Event {
-	return e.enqueueKeyed(at, e.now, unkeyedSrc, 0)
+	return e.enqueueKeyed(at, unkeyedSrc, 0)
 }
 
-// enqueueKeyed enqueues an event with an explicit scheduling instant and
+// enqueueKeyed enqueues an event stamped with the current instant and a
 // source identity. The full key must be final before the heap push: every
 // component participates in the heap ordering, so rewriting one
 // afterwards would silently violate the heap invariant for same-instant
 // ties.
 //
 //dtlint:hotpath
-func (e *Engine) enqueueKeyed(at, schedAt Time, srcKey int, srcSeq uint64) *Event {
+func (e *Engine) enqueueKeyed(at Time, srcKey int, srcSeq uint64) *Event {
 	if at < e.now {
 		//dtlint:allow hotalloc: formatting a panic message on the die path costs nothing in steady state
 		panic(fmt.Sprintf("sim: scheduling into the past: now=%v at=%v", e.now, at))
 	}
 	ev := e.alloc()
 	ev.at = at
-	ev.schedAt = schedAt
+	ev.schedAt = e.now
 	ev.srcKey = srcKey
 	ev.srcSeq = srcSeq
 	ev.seq = e.nextSeq
@@ -168,32 +168,13 @@ func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) EventRef {
 	return EventRef{engine: e, ev: ev, gen: ev.gen}
 }
 
-// InjectArg enqueues fn like ScheduleArg but stamps the event with an
-// explicit scheduling instant instead of the engine's clock. It is the
-// entry point for cross-shard deliveries at an epoch barrier: the message
-// carries the virtual instant its sender shipped it, and replaying that
-// instant into the (at, schedAt, seq) ordering key makes the destination
-// shard run the delivery exactly where a serial execution would have —
-// before any same-instant event that was scheduled later in virtual time.
-// schedAt must not exceed at.
-func (e *Engine) InjectArg(at, schedAt Time, fn func(any), arg any) EventRef {
-	if schedAt > at {
-		panic(fmt.Sprintf("sim: inject with schedAt after at: schedAt=%v at=%v", schedAt, at))
-	}
-	ev := e.enqueueKeyed(at, schedAt, unkeyedSrc, 0)
-	ev.runArg = fn
-	ev.arg = arg
-	return EventRef{engine: e, ev: ev, gen: ev.gen}
-}
-
 // ScheduleSrcArg enqueues fn like ScheduleArg but additionally stamps the
 // event with a stable source identity: srcKey is a topology domain index
-// (≥ 0) and srcSeq a per-source monotone counter. Cross-domain link
-// deliveries use it in serial runs so that same-instant ties between
-// deliveries from different domains resolve by (srcKey, srcSeq) — an
-// order a partitioned run reproduces exactly at its epoch barriers —
-// instead of by global scheduling order, which depends on event
-// genealogy no sharded execution could reconstruct.
+// (≥ 0) and srcSeq a per-source monotone counter. Link deliveries use it
+// so that two deliveries from different domains, tied on firing and
+// scheduling instant, run in (srcKey, srcSeq) order — a property of the
+// topology — instead of global scheduling order, which depends on event
+// genealogy.
 //
 //dtlint:hotpath
 func (e *Engine) ScheduleSrcArg(at Time, srcKey int, srcSeq uint64, fn func(any), arg any) EventRef {
@@ -201,24 +182,7 @@ func (e *Engine) ScheduleSrcArg(at Time, srcKey int, srcSeq uint64, fn func(any)
 		//dtlint:allow hotalloc: formatting a panic message on the die path costs nothing in steady state
 		panic(fmt.Sprintf("sim: negative source key %d", srcKey))
 	}
-	ev := e.enqueueKeyed(at, e.now, srcKey, srcSeq)
-	ev.runArg = fn
-	ev.arg = arg
-	return EventRef{engine: e, ev: ev, gen: ev.gen}
-}
-
-// InjectSrcArg is the sharded counterpart of ScheduleSrcArg: it enqueues
-// a cross-shard delivery with both its sender's scheduling instant and
-// source identity, giving the injected event the exact key its serial
-// equivalent would have carried. schedAt must not exceed at.
-func (e *Engine) InjectSrcArg(at, schedAt Time, srcKey int, srcSeq uint64, fn func(any), arg any) EventRef {
-	if schedAt > at {
-		panic(fmt.Sprintf("sim: inject with schedAt after at: schedAt=%v at=%v", schedAt, at))
-	}
-	if srcKey < 0 {
-		panic(fmt.Sprintf("sim: negative source key %d", srcKey))
-	}
-	ev := e.enqueueKeyed(at, schedAt, srcKey, srcSeq)
+	ev := e.enqueueKeyed(at, srcKey, srcSeq)
 	ev.runArg = fn
 	ev.arg = arg
 	return EventRef{engine: e, ev: ev, gen: ev.gen}
@@ -311,31 +275,6 @@ func (e *Engine) RunUntil(horizon Time) error {
 // RunFor advances the simulation by d virtual time.
 func (e *Engine) RunFor(d time.Duration) error {
 	return e.RunUntil(e.now.Add(d))
-}
-
-// NextEventTime returns the firing time of the earliest queued event, or
-// TimeNever if the queue is empty. A lazily cancelled event at the head
-// still counts — the bound it supplies is merely conservative, which is
-// all the sharded coordinator's window computation needs.
-func (e *Engine) NextEventTime() Time {
-	if next := e.queue.peek(); next != nil {
-		return next.at
-	}
-	return TimeNever
-}
-
-// RunStrictUntil processes events with firing times strictly before
-// horizon and leaves the clock at the last event that ran (it does NOT
-// advance to horizon). Epoch windows in the sharded coordinator are
-// half-open [start, horizon): the shard must stop short of the horizon so
-// cross-shard messages stamped at exactly horizon can still be injected,
-// and its clock must not outrun the injection point.
-func (e *Engine) RunStrictUntil(horizon Time) error {
-	last := horizon - tick
-	if last > horizon {
-		last = horizon // horizon is the earliest instant; nothing fires before it
-	}
-	return e.run(last)
 }
 
 // run processes events firing at or before last.

@@ -433,19 +433,11 @@ func (m *engineModel) schedule() {
 	at := m.pickAt()
 	r := m.newRef(at, -1)
 	fn := func(any) { m.fired(r) }
-	switch m.rng.Intn(4) {
-	case 0:
+	if m.rng.Intn(2) == 0 {
 		r.ref = m.e.ScheduleArg(at, fn, nil)
-	case 1:
+	} else {
 		r.key.srcKey, r.key.srcSeq = m.rng.Intn(3), uint64(m.rng.Intn(3))
 		r.ref = m.e.ScheduleSrcArg(at, r.key.srcKey, r.key.srcSeq, fn, nil)
-	case 2:
-		r.key.schedAt = Time(m.rng.Int63n(int64(at) + 1))
-		r.ref = m.e.InjectArg(at, r.key.schedAt, fn, nil)
-	default:
-		r.key.schedAt = Time(m.rng.Int63n(int64(at) + 1))
-		r.key.srcKey, r.key.srcSeq = m.rng.Intn(3), uint64(m.rng.Intn(3))
-		r.ref = m.e.InjectSrcArg(at, r.key.schedAt, r.key.srcKey, r.key.srcSeq, fn, nil)
 	}
 	m.live = append(m.live, r)
 }
@@ -595,7 +587,7 @@ func (m *engineModel) act(op int) {
 		m.cancel()
 	case 4, 5:
 		m.rearm()
-	case 6:
+	default:
 		h := m.horizon()
 		if m.between(h) {
 			m.horizonBetweenTiers++
@@ -612,24 +604,11 @@ func (m *engineModel) act(op int) {
 		if want := max(from, h); m.e.Now() != want {
 			m.failf("RunUntil(%v) left the clock at %v, want %v", h, m.e.Now(), want)
 		}
-	default:
-		h := m.horizon()
-		if m.between(h) {
-			m.horizonBetweenTiers++
-		}
-		m.limit = h - tick
-		if err := m.e.RunStrictUntil(h); err != nil {
-			m.failf("RunStrictUntil: %v", err)
-		}
-		m.limit = maxTime
-		if r := m.min(); r != nil && r.key.at < h {
-			m.failf("RunStrictUntil(%v) left %+v pending", h, r.key)
-		}
 	}
 }
 
-// check compares the queue's shape and NextEventTime with the reference
-// between top-level actions.
+// check compares the queue's shape and head with the reference between
+// top-level actions.
 func (m *engineModel) check() {
 	q := &m.e.queue
 	if !tiersSplitAtNearEnd(q) {
@@ -644,26 +623,26 @@ func (m *engineModel) check() {
 		m.farOnlyPeeks++
 		farHead = q.far.items[0].at
 	}
-	got := m.e.NextEventTime()
+	got := peekAt(m.e)
 	switch r := m.min(); {
 	case farOnly && got != farHead:
-		m.failf("NextEventTime = %v with only the far tier queued, want its head %v", got, farHead)
+		m.failf("queue head at %v with only the far tier queued, want its head %v", got, farHead)
 	case r == nil && m.e.Pending() == 0 && got != TimeNever:
-		m.failf("NextEventTime = %v on an empty queue", got)
+		m.failf("queue head at %v on an empty queue", got)
 	case r != nil && (got > r.key.at || got < m.e.Now()):
-		m.failf("NextEventTime = %v, want in [%v, %v]", got, m.e.Now(), r.key.at)
+		m.failf("queue head at %v, want in [%v, %v]", got, m.e.Now(), r.key.at)
 	}
 }
 
 // TestPropertyEngineMatchesReferenceModel drives the engine with random
-// Schedule, ScheduleSrcArg, Inject*, Cancel and Timer-rearm sequences,
-// from the top level and from inside handlers, interleaved with RunUntil
-// and RunStrictUntil, and checks every firing against the reference. The
+// Schedule, ScheduleSrcArg, Cancel and Timer-rearm sequences, from the
+// top level and from inside handlers, interleaved with RunUntil, and
+// checks every firing against the reference. The
 // draws aim at the two-tier edges, and the test asserts that each was
 // reached: instants exactly at and just past nearEnd, equal-at ties
 // between events scheduled before and after a refill, keyed ties,
 // compaction while both tiers hold cancelled events, horizons between the
-// tiers and NextEventTime with only the far tier queued.
+// tiers and a queue peek with only the far tier queued.
 func TestPropertyEngineMatchesReferenceModel(t *testing.T) {
 	total := engineModel{}
 	for seed := int64(1); seed <= 40; seed++ {
@@ -699,13 +678,13 @@ func TestPropertyEngineMatchesReferenceModel(t *testing.T) {
 		total.farOnlyPeeks += m.farOnlyPeeks
 	}
 	for name, n := range map[string]int{
-		"ties across a refill":           total.tieAcrossRefill,
-		"instants at nearEnd":            total.atNearEnd,
-		"instants just past nearEnd":     total.pastNearEnd,
-		"keyed ties":                     total.keyedTies,
-		"compactions over both tiers":    total.bothTierCompactions,
-		"horizons between the tiers":     total.horizonBetweenTiers,
-		"NextEventTime on far tier only": total.farOnlyPeeks,
+		"ties across a refill":         total.tieAcrossRefill,
+		"instants at nearEnd":          total.atNearEnd,
+		"instants just past nearEnd":   total.pastNearEnd,
+		"keyed ties":                   total.keyedTies,
+		"compactions over both tiers":  total.bothTierCompactions,
+		"horizons between the tiers":   total.horizonBetweenTiers,
+		"peeks with only the far tier": total.farOnlyPeeks,
 	} {
 		t.Logf("%s: %d", name, n)
 		if n == 0 {
@@ -795,5 +774,55 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if got := TimeNever.String(); got != "never" {
 		t.Fatalf("TimeNever.String = %q", got)
+	}
+}
+
+// TestSourceKeyedTieOrder pins the source-keyed tie-break: events firing
+// at the same (at, schedAt) run in (srcKey, srcSeq) order, with unkeyed
+// events ahead of every keyed one, regardless of the order the
+// scheduling calls were made in.
+func TestSourceKeyedTieOrder(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	rec := func(name string) func(any) {
+		return func(any) { order = append(order, name) }
+	}
+	e.ScheduleSrcArg(300, 7, 0, rec("d7s0"), nil)
+	e.ScheduleSrcArg(300, 2, 1, rec("d2s1"), nil)
+	e.ScheduleSrcArg(300, 2, 0, rec("d2s0"), nil)
+	e.ScheduleArg(300, rec("local"), nil)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"local", "d2s0", "d2s1", "d7s0"}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("tie order %v, want %v", order, want)
+		}
+	}
+}
+
+func TestScheduleSrcArgRejectsNegativeKey(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative source key accepted")
+		}
+	}()
+	NewEngine(1).ScheduleSrcArg(1, -1, 0, func(any) {}, nil)
+}
+
+// TestEngineRunFor pins the RunFor horizon semantics in-package.
+func TestEngineRunFor(t *testing.T) {
+	e := NewEngine(1)
+	ran := false
+	e.Schedule(FromDuration(time.Microsecond/2), func() { ran = true })
+	if err := e.RunFor(time.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	if !ran {
+		t.Fatal("event inside the window did not run")
+	}
+	if want := FromDuration(time.Microsecond); e.Now() != want {
+		t.Fatalf("clock at %v, want %v", e.Now(), want)
 	}
 }

@@ -6,17 +6,14 @@ package sim
 // events scheduled for the same instant always run in a deterministic
 // order. This tie-break is what makes runs reproducible.
 //
-// For a single engine scheduling only unkeyed events the scheduling
-// instant and source key are redundant — they order exactly like
-// (at, seq). The extra key components matter for sharded execution:
-// a cross-domain delivery carries the virtual instant its sender shipped
-// it plus the sender's stable (srcKey, srcSeq) identity, so same-instant
-// ties between deliveries from different domains resolve identically
-// whether the run is serial or partitioned across any number of shards.
-// A serial tie-break by global sequence number alone could not be
-// reproduced by a partitioned run: the global interleaving of two
-// domains' scheduling calls depends on event genealogy arbitrarily far
-// back, which no bounded message payload can carry.
+// For events scheduled without a source key the scheduling instant is
+// redundant — they order exactly like (at, seq). The extra components are
+// the tie policy for link deliveries: a delivery carries the instant its
+// port shipped it plus the port's stable (srcKey, srcSeq) identity, so
+// same-instant ties between deliveries from different domains resolve by
+// topology-derived identity rather than by the global interleaving of the
+// two domains' scheduling calls. Every golden digest depends on this
+// order; ordering by (at, seq) alone changes them.
 //
 // Model code never touches an Event directly: Schedule and After return
 // an EventRef, a generation-checked handle that stays safe to use after
@@ -25,14 +22,12 @@ package sim
 type Event struct {
 	// at is the virtual instant the event fires.
 	at Time
-	// schedAt is the virtual instant the event was scheduled (for
-	// injected cross-shard deliveries: the sender's ship instant).
+	// schedAt is the virtual instant the event was scheduled.
 	schedAt Time
 	// srcKey identifies the scheduling source for keyed events (a stable
 	// topology domain index ≥ 0); unkeyed events carry unkeyedSrc, which
 	// sorts before every domain so local events win exact (at, schedAt)
-	// ties against deliveries — the order a partitioned run necessarily
-	// produces, since deliveries are injected after local scheduling.
+	// ties against deliveries.
 	srcKey int
 	// srcSeq orders keyed events from the same source (a per-domain
 	// monotone counter); zero for unkeyed events.

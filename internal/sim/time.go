@@ -26,6 +26,9 @@ const (
 	TimeNever Time = -1
 )
 
+// tick is the virtual clock's resolution: the instant before t is t-tick.
+const tick Time = 1
+
 // FromDuration converts a wall-clock style duration into a virtual Time
 // offset.
 func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }

@@ -119,9 +119,8 @@ type Config struct {
 	// PacingSeed seeds the DCTCP+ sender's private pacing RNG. Workload
 	// drivers draw it from the construction engine's seeded source — one
 	// draw per sender, in construction order — so pacing randomness
-	// stays a pure function of the run seed and, because construction
-	// happens before the shards fork, byte-identical for any shard
-	// count. Zero falls back to a flow-derived constant.
+	// stays a pure function of the run seed. Zero falls back to a
+	// flow-derived constant.
 	PacingSeed int64
 }
 

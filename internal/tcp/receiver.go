@@ -201,10 +201,8 @@ func (r *Receiver) flushAck() {
 	r.host.Send(ack)
 }
 
-// hostEngine is the engine an endpoint on h must schedule on: the host's
-// own engine, which is the shard engine under partitioned execution and
-// the network's single engine otherwise. Kept as a helper so endpoint
-// constructors take just the host.
+// hostEngine is the engine an endpoint on h must schedule on. Kept as a
+// helper so endpoint constructors take just the host.
 func hostEngine(h *netsim.Host) *sim.Engine {
 	return h.Engine()
 }

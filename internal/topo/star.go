@@ -7,7 +7,7 @@ import (
 )
 
 // StarConfig describes the classic n-senders-one-receiver star the
-// workload and shard tests share: senders and the receiver hang off one
+// workload tests share: senders and the receiver hang off one
 // switch, with the switch → receiver port as the bottleneck.
 type StarConfig struct {
 	// Senders is the number of sender hosts.
@@ -31,9 +31,10 @@ type Star struct {
 }
 
 // NewStar wires the star onto an empty network and computes routes.
-// Creation order (switch, receiver, then senders) fixes the shard-domain
-// numbering: receiver = domain 0, sender i = domain 1+i, then the switch
-// ports in attachment order (receiver-facing first).
+// Creation order (switch, receiver, then senders) fixes the port domain
+// numbering that breaks same-instant delivery ties: receiver = domain 0,
+// sender i = domain 1+i, then the switch ports in attachment order
+// (receiver-facing first).
 func NewStar(nw *netsim.Network, cfg StarConfig) (*Star, error) {
 	if cfg.Senders < 1 {
 		return nil, fmt.Errorf("topo: star needs at least one sender")

@@ -54,9 +54,13 @@ func TestFatTreeStructure(t *testing.T) {
 			t.Fatalf("core %d has %d ports, want 4 (one per pod)", i, sw.Ports())
 		}
 	}
-	// Domains: 16 hosts + (8+8)·4 switch ports + 4·4 core ports.
-	if got := nw.NumDomains(); got != 16+64+16 {
-		t.Fatalf("NumDomains = %d, want 96", got)
+	// Ports: 16 host uplinks + (8+8)·4 switch ports + 4·4 core ports.
+	ports := len(nw.Hosts())
+	for _, sw := range nw.Switches() {
+		ports += sw.Ports()
+	}
+	if ports != 16+64+16 {
+		t.Fatalf("fabric has %d ports, want 96", ports)
 	}
 	if got, want := len(f.CorePorts()), 16; got != want {
 		t.Fatalf("CorePorts = %d, want %d", got, want)
@@ -266,29 +270,6 @@ func TestLeafSpineValidation(t *testing.T) {
 	}
 }
 
-// TestFabricComposesWithPartition builds the same leaf-spine on a
-// sharded engine's shard 0 and partitions it: the builders' domains are
-// ordinary netsim domains, so Partition must accept the default
-// assignment and set the lookahead to the fabric's minimum link delay.
-func TestFabricComposesWithPartition(t *testing.T) {
-	se := sim.NewShardedEngine(1, 4)
-	nw := netsim.NewNetwork(se.Shard(0))
-	f, err := LeafSpine(nw, 2, 2, 2, testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.Partition(se, nw.DefaultAssign(4)); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := se.Lookahead(), sim.FromDuration(10*time.Microsecond); got != want {
-		t.Fatalf("lookahead %v, want %v", got, want)
-	}
-	if !nw.Sharded() {
-		t.Fatal("network not sharded after Partition")
-	}
-	_ = f
-}
-
 func TestNewStarShape(t *testing.T) {
 	e := sim.NewEngine(7)
 	nw := netsim.NewNetwork(e)
@@ -308,7 +289,7 @@ func TestNewStarShape(t *testing.T) {
 		t.Fatalf("bottleneck rate %v", st.Bottleneck.Rate())
 	}
 	// Receiver first, then senders: domain numbering contract.
-	if nw.HostDomain(st.Receiver) != 0 || nw.HostDomain(st.Senders[0]) != 1 {
+	if hosts := nw.Hosts(); hosts[0] != st.Receiver || hosts[1] != st.Senders[0] {
 		t.Fatal("star domain numbering changed")
 	}
 	if _, err := NewStar(nw, StarConfig{Senders: 1, Access: access, Bottleneck: bneck}); err == nil {

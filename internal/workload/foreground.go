@@ -14,10 +14,6 @@ import (
 // acknowledgement and the next transfer's start. Per-transfer completion
 // times are recorded — the foreground FCTs the hybrid conformance grid
 // compares against a fully packet-level run.
-//
-// All per-flow state lives on the sender host's engine (its shard under
-// partitioning): starts self-schedule there and completions fire there,
-// so the workload is byte-identical for any shard count.
 type ForegroundConfig struct {
 	// Hosts are the foreground senders, one flow each.
 	Hosts []*netsim.Host
@@ -61,8 +57,7 @@ type fgFlow struct {
 }
 
 // StartForeground creates the flows and schedules their first transfers.
-// Call it with the construction engine (shard 0 under partitioning, after
-// Partition) so jitter draws come from the serial-identical stream.
+// Start jitter is drawn from engine's seeded source.
 func StartForeground(engine *sim.Engine, cfg ForegroundConfig) *Foreground {
 	w := &Foreground{}
 	for i, h := range cfg.Hosts {
@@ -90,7 +85,7 @@ func StartForeground(engine *sim.Engine, cfg ForegroundConfig) *Foreground {
 	return w
 }
 
-// complete runs on the sender's shard at each transfer completion.
+// complete runs at each transfer completion.
 func (f *fgFlow) complete(now sim.Time) {
 	f.transfers++
 	if f.started >= f.warmup {
@@ -101,14 +96,14 @@ func (f *fgFlow) complete(now sim.Time) {
 	}
 }
 
-// next starts the flow's next transfer on its own shard.
+// next starts the flow's next transfer.
 func (f *fgFlow) next() {
 	f.started = f.eng.Now()
 	f.s.Extend(f.bytes)
 }
 
 // FCTs returns every recorded completion time in seconds, concatenated
-// in flow order — a deterministic, shard-invariant sequence.
+// in flow order — a deterministic sequence.
 func (w *Foreground) FCTs() []float64 {
 	var out []float64
 	for _, f := range w.flows {
