@@ -514,13 +514,13 @@ func measureSweep(quick bool) *SweepMetric {
 	ctx := context.Background()
 
 	start := time.Now()
-	if _, err := dtdctcp.SweepFlowsParallel(ctx, base, flows, 1); err != nil {
+	if _, err := dtdctcp.SweepFlows(ctx, base, flows, 1); err != nil {
 		panic(err)
 	}
 	serial := time.Since(start)
 
 	start = time.Now()
-	if _, err := dtdctcp.SweepFlowsParallel(ctx, base, flows, workers); err != nil {
+	if _, err := dtdctcp.SweepFlows(ctx, base, flows, workers); err != nil {
 		panic(err)
 	}
 	parallel := time.Since(start)

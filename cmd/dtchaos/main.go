@@ -225,7 +225,7 @@ func Sweep(plans []*chaos.Plan, o SweepOptions) ([]Report, []metrics.Named, erro
 			pts = append(pts, point{plan, proto})
 		}
 	}
-	cells, err := runner.Map(context.Background(), len(pts), runner.Options{Workers: o.Workers},
+	cells, err := runner.Map(context.Background(), len(pts), o.Workers,
 		func(_ context.Context, i int) (cell, error) {
 			pt := pts[i]
 			cfg := dtdctcp.DumbbellConfig{

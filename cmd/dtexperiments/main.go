@@ -295,13 +295,13 @@ func figSweep(s settings, out io.Writer) error {
 	}
 	baseDC := base
 	baseDC.Protocol = dtdctcp.DCTCP(40, 1.0/16)
-	dc, err := dtdctcp.SweepFlowsParallel(context.Background(), baseDC, flows, s.workers)
+	dc, err := dtdctcp.SweepFlows(context.Background(), baseDC, flows, s.workers)
 	if err != nil {
 		return err
 	}
 	baseDT := base
 	baseDT.Protocol = dtdctcp.DTDCTCP(30, 50, 1.0/16)
-	dt, err := dtdctcp.SweepFlowsParallel(context.Background(), baseDT, flows, s.workers)
+	dt, err := dtdctcp.SweepFlows(context.Background(), baseDT, flows, s.workers)
 	if err != nil {
 		return err
 	}
@@ -330,7 +330,7 @@ func fig14(s settings, out io.Writer) error {
 	}
 	// Each point simulates both protocols in its own engines; the rows
 	// come back in input order regardless of the worker count.
-	rows, err := runner.Map(context.Background(), len(workers), runner.Options{Workers: s.workers},
+	rows, err := runner.Map(context.Background(), len(workers), s.workers,
 		func(_ context.Context, i int) (incastRow, error) {
 			var r incastRow
 			var err error
@@ -387,7 +387,7 @@ func fig15(s settings, out io.Writer) error {
 	fmt.Fprintln(out, "   n | DCTCP   mean      p95      max | DT-DCTCP mean      p95      max")
 	counts := []int{8, 16, 24, 32, 40, 48, 56, 64}
 	type completionRow struct{ dc, dt *dtdctcp.QueryResult }
-	rows, err := runner.Map(context.Background(), len(counts), runner.Options{Workers: s.workers},
+	rows, err := runner.Map(context.Background(), len(counts), s.workers,
 		func(_ context.Context, i int) (completionRow, error) {
 			var r completionRow
 			var err error
@@ -468,7 +468,7 @@ func extBuildup(_ settings, out io.Writer) error {
 		dtdctcp.DCTCP(40, 1.0/16),
 		dtdctcp.DTDCTCP(30, 50, 1.0/16),
 	} {
-		res, err := dtdctcp.RunBuildup(dtdctcp.DefaultBuildup(p))
+		res, err := dtdctcp.RunBuildup(p)
 		if err != nil {
 			return err
 		}

@@ -130,6 +130,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"bad cdf":     {"-quick", "-cdf", "no-such"},
 		"bad topo":    {"-topo", "torus", "-flows", "10"},
 		"unknown arg": {"-frobnicate"},
+		// Bucket bounds the fabric cannot honour are an error, not a
+		// report that echoes them while bucketing at other bounds.
+		"large-min below small-max": {"-quick", "-large-min", "50000"},
+		"small-max above large-min": {"-quick", "-small-max", "2000000"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("%s accepted", name)

@@ -107,18 +107,13 @@ type FlowSweepPoint = core.FlowSweepPoint
 // RunDumbbell executes the long-lived-flows scenario.
 func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) { return core.RunDumbbell(cfg) }
 
-// SweepFlows runs the dumbbell at each flow count, as in Figs. 10–12.
-// Points run serially; SweepFlowsParallel spreads them over goroutines.
-func SweepFlows(base DumbbellConfig, flows []int) ([]FlowSweepPoint, error) {
-	return core.SweepFlows(base, flows)
-}
-
-// SweepFlowsParallel runs the sweep points concurrently on up to workers
-// goroutines (values < 1 mean GOMAXPROCS). Every point owns a private
-// engine seeded by base.Seed alone, so the output is byte-identical for
-// any worker count and is returned in the order of flows.
-func SweepFlowsParallel(ctx context.Context, base DumbbellConfig, flows []int, workers int) ([]FlowSweepPoint, error) {
-	return core.SweepFlowsParallel(ctx, base, flows, workers)
+// SweepFlows runs the dumbbell at each flow count, as in Figs. 10–12, on
+// up to workers goroutines (values < 1 mean GOMAXPROCS; 1 is serial).
+// Every point owns a private engine seeded by base.Seed alone, so the
+// output is byte-identical for any worker count and is returned in the
+// order of flows.
+func SweepFlows(ctx context.Context, base DumbbellConfig, flows []int, workers int) ([]FlowSweepPoint, error) {
+	return core.SweepFlows(ctx, base, flows, workers)
 }
 
 // HybridConfig describes a hybrid fluid/packet co-simulation: fluid
@@ -139,11 +134,9 @@ type TestbedConfig = core.TestbedConfig
 // QueryResult aggregates a synchronized query experiment.
 type QueryResult = core.QueryResult
 
-// WorkerSweepPoint is one sample of a worker-count sweep.
-type WorkerSweepPoint = core.WorkerSweepPoint
-
-// DefaultTestbed returns the paper's testbed parameters for a protocol:
-// 1 Gbps ports, 128 KB bottleneck buffer, 512 KB elsewhere, ≈100 µs RTT.
+// DefaultTestbed returns the testbed scenario for a protocol and worker
+// count. The paper's hardware is fixed: 1 Gbps ports, 128 KB bottleneck
+// buffer, 512 KB elsewhere, ≈100 µs RTT.
 func DefaultTestbed(p Protocol, workers int) TestbedConfig {
 	return core.DefaultTestbed(p, workers)
 }
@@ -163,23 +156,6 @@ func RunIncast(cfg TestbedConfig, rounds int) (*QueryResult, error) {
 // across the workers.
 func RunCompletionTime(cfg TestbedConfig, rounds int) (*QueryResult, error) {
 	return core.RunCompletionTime(cfg, rounds)
-}
-
-// SweepWorkers repeats a query experiment across worker counts, as in
-// Figs. 14–15. Points run serially; SweepWorkersParallel spreads them
-// over goroutines.
-func SweepWorkers(base TestbedConfig, workers []int, rounds int,
-	run func(TestbedConfig, int) (*QueryResult, error)) ([]WorkerSweepPoint, error) {
-	return core.SweepWorkers(base, workers, rounds, run)
-}
-
-// SweepWorkersParallel repeats a query experiment across worker counts on
-// up to par goroutines, with the same determinism guarantee as
-// SweepFlowsParallel: each point owns a private engine, so results do not
-// depend on par.
-func SweepWorkersParallel(ctx context.Context, base TestbedConfig, workers []int, rounds, par int,
-	run func(TestbedConfig, int) (*QueryResult, error)) ([]WorkerSweepPoint, error) {
-	return core.SweepWorkersParallel(ctx, base, workers, rounds, par, run)
 }
 
 // AnalysisParams carries the network parameters of the stability and
@@ -304,20 +280,13 @@ func ChaosProfile(name string) (*ChaosPlan, error) { return chaos.Profile(name) 
 // LoadChaosPlan reads and validates a JSON plan file.
 func LoadChaosPlan(path string) (*ChaosPlan, error) { return chaos.LoadPlan(path) }
 
-// BuildupConfig is the queue-buildup microbenchmark (short transfers
-// sharing a bottleneck with bulk flows), which the paper inherits from
-// the DCTCP evaluation.
-type BuildupConfig = core.BuildupConfig
-
 // BuildupResult summarizes the short flows' completion times.
 type BuildupResult = core.BuildupResult
 
-// DefaultBuildup returns the microbenchmark's default parameters for a
-// protocol.
-func DefaultBuildup(p Protocol) BuildupConfig { return core.DefaultBuildup(p) }
-
-// RunBuildup executes the queue-buildup microbenchmark.
-func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) { return core.RunBuildup(cfg) }
+// RunBuildup executes the queue-buildup microbenchmark the paper
+// inherits from the DCTCP evaluation for one protocol: 20 KB short
+// transfers sharing a 10 Gbps bottleneck with 2 bulk flows.
+func RunBuildup(p Protocol) (*BuildupResult, error) { return core.RunBuildup(p) }
 
 // FabricConfig is a trace-driven workload on a multi-tier datacenter
 // fabric (k-ary fat-tree or leaf-spine Clos) with deterministic ECMP
@@ -328,10 +297,6 @@ type FabricConfig = core.FabricConfig
 // bucket, queue summaries at the core/aggregation tiers, mark and drop
 // rates, and the run's reproducibility digest.
 type FabricResult = core.FabricResult
-
-// LoadSweepPoint is one (load factor, result) sample of a fabric load
-// sweep.
-type LoadSweepPoint = core.LoadSweepPoint
 
 // FlowSizeCDF is an empirical flow-size distribution for trace-driven
 // workloads.
@@ -357,14 +322,3 @@ func ParseFlowCDF(r io.Reader) (*FlowSizeCDF, error) { return flowgen.ParseCDF(r
 
 // RunFabric executes a fabric scenario to completion.
 func RunFabric(cfg FabricConfig) (*FabricResult, error) { return core.RunFabric(cfg) }
-
-// SweepLoads runs the fabric at each load factor serially.
-func SweepLoads(base FabricConfig, loads []float64) ([]LoadSweepPoint, error) {
-	return core.SweepLoads(base, loads)
-}
-
-// SweepLoadsParallel runs the sweep points concurrently on up to workers
-// goroutines; results are byte-identical for any worker count.
-func SweepLoadsParallel(ctx context.Context, base FabricConfig, loads []float64, workers int) ([]LoadSweepPoint, error) {
-	return core.SweepLoadsParallel(ctx, base, loads, workers)
-}

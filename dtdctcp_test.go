@@ -2,9 +2,12 @@ package dtdctcp
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"dtdctcp/internal/runner"
 )
 
 // The facade is thin; these tests pin the re-exports together end to end
@@ -29,14 +32,14 @@ func TestFacadeDumbbell(t *testing.T) {
 }
 
 func TestFacadeSweepAndQuery(t *testing.T) {
-	pts, err := SweepFlows(DumbbellConfig{
+	pts, err := SweepFlows(context.Background(), DumbbellConfig{
 		Protocol:   DCTCP(40, 1.0/16),
 		Rate:       10 * Gbps,
 		RTT:        100 * time.Microsecond,
 		BufferPkts: 600,
 		Duration:   10 * time.Millisecond,
 		Warmup:     2 * time.Millisecond,
-	}, []int{5})
+	}, []int{5}, 1)
 	if err != nil || len(pts) != 1 {
 		t.Fatalf("sweep: %v %v", pts, err)
 	}
@@ -48,9 +51,21 @@ func TestFacadeSweepAndQuery(t *testing.T) {
 	if err != nil || ct.MeanCompletion <= 0 {
 		t.Fatalf("completion: %+v %v", ct, err)
 	}
-	ws, err := SweepWorkers(DefaultTestbed(RenoECN(21), 0), []int{2}, 1, RunIncast)
-	if err != nil || len(ws) != 1 {
-		t.Fatalf("worker sweep: %v %v", ws, err)
+	// A worker-count sweep is runner.Map over testbed configs; each
+	// point owns its engine, so 1 and 8 workers agree byte for byte.
+	workers := []int{2, 3}
+	sweep := func(par int) []*QueryResult {
+		ws, err := runner.Map(context.Background(), len(workers), par,
+			func(_ context.Context, i int) (*QueryResult, error) {
+				return RunIncast(DefaultTestbed(RenoECN(21), workers[i]), 1)
+			})
+		if err != nil || len(ws) != len(workers) {
+			t.Fatalf("worker sweep: %v %v", ws, err)
+		}
+		return ws
+	}
+	if one, eight := sweep(1), sweep(8); !reflect.DeepEqual(one, eight) {
+		t.Fatalf("worker sweep differs between 1 and 8 workers:\n%+v\n%+v", one, eight)
 	}
 	if _, err := RunQuery(DefaultTestbed(Reno(), 2), 1024, 1); err != nil {
 		t.Fatal(err)
@@ -162,13 +177,26 @@ func TestFacadeFabric(t *testing.T) {
 	if res.Completed != res.Flows || len(res.Digest) != 16 {
 		t.Fatalf("fabric result: %+v", res)
 	}
-	pts, err := SweepLoads(base, []float64{0.2})
-	if err != nil || len(pts) != 1 || pts[0].Load != 0.2 {
-		t.Fatalf("SweepLoads: %v %v", pts, err)
+	// A load sweep is runner.Map over fabric configs: byte-identical
+	// digests at 1 and 8 workers, in load order.
+	loads := []float64{0.2, 0.3}
+	sweep := func(workers int) []*FabricResult {
+		pts, err := runner.Map(context.Background(), len(loads), workers,
+			func(_ context.Context, i int) (*FabricResult, error) {
+				cfg := base
+				cfg.Load = loads[i]
+				return RunFabric(cfg)
+			})
+		if err != nil || len(pts) != len(loads) {
+			t.Fatalf("load sweep: %v %v", pts, err)
+		}
+		return pts
 	}
-	ppts, err := SweepLoadsParallel(context.Background(), base, []float64{0.2}, 2)
-	if err != nil || len(ppts) != 1 || ppts[0].Result.Digest != pts[0].Result.Digest {
-		t.Fatalf("SweepLoadsParallel: %v %v", ppts, err)
+	one, eight := sweep(1), sweep(8)
+	for i := range loads {
+		if one[i].Load != loads[i] || one[i].Digest != eight[i].Digest {
+			t.Fatalf("load %.1f: point %+v (1 worker) vs %+v (8 workers)", loads[i], one[i], eight[i])
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func digestDumbbell(name string, cfg core.DumbbellConfig) (Digest, error) {
 // goroutines (values < 1 mean GOMAXPROCS); digests come back in input
 // order and are byte-identical for any worker count.
 func DigestGrid(ctx context.Context, scenarios []Scenario, workers int) ([]Digest, error) {
-	return runner.Map(ctx, len(scenarios), runner.Options{Workers: workers},
+	return runner.Map(ctx, len(scenarios), workers,
 		func(_ context.Context, i int) (Digest, error) {
 			return DigestRun(scenarios[i])
 		})

@@ -133,39 +133,7 @@ type HybridObservation struct {
 type HybridReport struct {
 	Scenario string            `json:"scenario"`
 	Obs      HybridObservation `json:"observation"`
-	Checks   []Check           `json:"checks"`
-}
-
-// Pass reports whether every non-skipped check passed.
-func (r HybridReport) Pass() bool {
-	for _, c := range r.Checks {
-		if c.Skipped == "" && !c.Pass {
-			return false
-		}
-	}
-	return true
-}
-
-// Failures returns the non-skipped checks that failed.
-func (r HybridReport) Failures() []Check {
-	var out []Check
-	for _, c := range r.Checks {
-		if c.Skipped == "" && !c.Pass {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Applied counts the checks that actually ran (were not skipped).
-func (r HybridReport) Applied() int {
-	n := 0
-	for _, c := range r.Checks {
-		if c.Skipped == "" {
-			n++
-		}
-	}
-	return n
+	Checks   `json:"checks"`
 }
 
 // RunHybridScenario executes one scenario in both modes and applies the
@@ -367,7 +335,7 @@ func QuickHybridGrid() []HybridScenario {
 // private engine seeded only by its own configuration, so reports are
 // byte-identical for any worker count and are returned in input order.
 func RunHybridGrid(ctx context.Context, scenarios []HybridScenario, workers int) ([]HybridReport, error) {
-	return runner.Map(ctx, len(scenarios), runner.Options{Workers: workers},
+	return runner.Map(ctx, len(scenarios), workers,
 		func(_ context.Context, i int) (HybridReport, error) {
 			return RunHybridScenario(scenarios[i])
 		})

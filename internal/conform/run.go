@@ -50,6 +50,36 @@ type Check struct {
 	Skipped string `json:"skipped,omitempty"`
 }
 
+// Checks is one grid point's verdict: its agreement assertions in a
+// fixed order. Every report type embeds it, so Pass, Failures and
+// Applied read the same way on all three grids.
+type Checks []Check
+
+// Pass reports whether every non-skipped check passed.
+func (cs Checks) Pass() bool { return len(cs.Failures()) == 0 }
+
+// Failures returns the non-skipped checks that failed.
+func (cs Checks) Failures() []Check {
+	var out []Check
+	for _, c := range cs {
+		if c.Skipped == "" && !c.Pass {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// Applied counts the checks that actually ran (were not skipped).
+func (cs Checks) Applied() int {
+	n := 0
+	for _, c := range cs {
+		if c.Skipped == "" {
+			n++
+		}
+	}
+	return n
+}
+
 // Report is the outcome of one scenario: what each machinery measured
 // and how the cross-checks came out.
 type Report struct {
@@ -58,28 +88,7 @@ type Report struct {
 	// Obs holds the per-machinery measurements.
 	Obs Observation `json:"observation"`
 	// Checks are the agreement assertions, in a fixed order.
-	Checks []Check `json:"checks"`
-}
-
-// Pass reports whether every non-skipped check passed.
-func (r Report) Pass() bool {
-	for _, c := range r.Checks {
-		if c.Skipped == "" && !c.Pass {
-			return false
-		}
-	}
-	return true
-}
-
-// Failures returns the non-skipped checks that failed.
-func (r Report) Failures() []Check {
-	var out []Check
-	for _, c := range r.Checks {
-		if c.Skipped == "" && !c.Pass {
-			out = append(out, c)
-		}
-	}
-	return out
+	Checks `json:"checks"`
 }
 
 // RunScenario executes one scenario in all three machineries and applies
@@ -226,7 +235,7 @@ func applyChecks(tol Tolerances, o Observation) []Check {
 // seeded only by its own configuration, so reports are byte-identical
 // for any worker count and are returned in input order.
 func RunGrid(ctx context.Context, scenarios []Scenario, workers int) ([]Report, error) {
-	return runner.Map(ctx, len(scenarios), runner.Options{Workers: workers},
+	return runner.Map(ctx, len(scenarios), workers,
 		func(_ context.Context, i int) (Report, error) {
 			return RunScenario(scenarios[i])
 		})

@@ -131,40 +131,8 @@ type ZooScenario struct {
 
 // ZooReport is the outcome of one zoo grid point.
 type ZooReport struct {
-	Scenario string  `json:"scenario"`
-	Checks   []Check `json:"checks"`
-}
-
-// Pass reports whether every non-skipped check passed.
-func (r ZooReport) Pass() bool {
-	for _, c := range r.Checks {
-		if c.Skipped == "" && !c.Pass {
-			return false
-		}
-	}
-	return true
-}
-
-// Failures returns the non-skipped checks that failed.
-func (r ZooReport) Failures() []Check {
-	var out []Check
-	for _, c := range r.Checks {
-		if c.Skipped == "" && !c.Pass {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Applied counts the checks that actually ran (were not skipped).
-func (r ZooReport) Applied() int {
-	n := 0
-	for _, c := range r.Checks {
-		if c.Skipped == "" {
-			n++
-		}
-	}
-	return n
+	Scenario string `json:"scenario"`
+	Checks   `json:"checks"`
 }
 
 // zooG is the grid's EWMA gain, the paper's 1/16.
@@ -580,7 +548,7 @@ func QuickZooGrid() []ZooScenario {
 // engines seeded only by its own configuration, so reports are
 // byte-identical for any worker count and are returned in input order.
 func RunZooGrid(ctx context.Context, scenarios []ZooScenario, workers int) ([]ZooReport, error) {
-	return runner.Map(ctx, len(scenarios), runner.Options{Workers: workers},
+	return runner.Map(ctx, len(scenarios), workers,
 		func(_ context.Context, i int) (ZooReport, error) {
 			return RunZooScenario(scenarios[i])
 		})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"dtdctcp/internal/netsim"
@@ -12,31 +11,30 @@ import (
 	"dtdctcp/internal/workload"
 )
 
-// BuildupConfig is the "queue buildup" microbenchmark the paper inherits
-// from the DCTCP evaluation: a few long-lived flows keep the bottleneck
-// busy while a latency-sensitive client repeatedly fetches short
-// transfers through the same queue. The short flows' completion time
-// exposes the standing queue each protocol maintains.
-type BuildupConfig struct {
-	// Protocol selects endpoints and queue law.
-	Protocol Protocol
-	// LongFlows is the number of background bulk flows (the DCTCP paper
-	// uses 2).
-	LongFlows int
-	// ShortBytes is each short transfer's size (DCTCP paper: 20 KB).
-	ShortBytes int64
-	// ShortEvery is the idle gap between short transfers.
-	ShortEvery time.Duration
-	// Rate, RTT, BufferPkts as in DumbbellConfig.
-	Rate       netsim.Rate
-	RTT        time.Duration
-	BufferPkts int
-	// Duration bounds the run; Warmup lets the background flows settle
-	// before the first short transfer starts.
-	Duration, Warmup time.Duration
-	// Seed drives randomness.
-	Seed int64
-}
+// The "queue buildup" microbenchmark the paper inherits from the DCTCP
+// evaluation: a few long-lived flows keep the bottleneck busy while a
+// latency-sensitive client repeatedly fetches short transfers through
+// the same queue. The short flows' completion time exposes the standing
+// queue each protocol maintains. The parameters are the DCTCP paper's,
+// scaled to this repository's 10 Gbps dumbbell.
+const (
+	// buildupLongFlows is the number of background bulk flows (the
+	// DCTCP paper uses 2).
+	buildupLongFlows = 2
+	// buildupShortBytes is each short transfer's size (DCTCP paper:
+	// 20 KB); buildupShortEvery is the idle gap between them.
+	buildupShortBytes = 20 << 10
+	buildupShortEvery = 500 * time.Microsecond
+	// The dumbbell: rate, zero-queue RTT and bottleneck buffer.
+	buildupRate       = 10 * netsim.Gbps
+	buildupRTT        = 100 * time.Microsecond
+	buildupBufferPkts = 600
+	// buildupWarmup lets the background flows settle before the first
+	// short transfer; buildupDuration is the measured run after it.
+	buildupWarmup   = 20 * time.Millisecond
+	buildupDuration = 60 * time.Millisecond
+	buildupSeed     = 1
+)
 
 // BuildupResult summarizes the short flows' experience.
 type BuildupResult struct {
@@ -52,55 +50,26 @@ type BuildupResult struct {
 	BackgroundUtilization float64
 }
 
-// RunBuildup executes the microbenchmark.
-func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
-	if cfg.LongFlows <= 0 || cfg.ShortBytes <= 0 || cfg.Duration <= 0 ||
-		cfg.Rate <= 0 || cfg.RTT <= 0 || cfg.BufferPkts <= 0 {
-		return nil, errors.New("core: invalid buildup config")
-	}
-	if cfg.ShortEvery <= 0 {
-		cfg.ShortEvery = time.Millisecond
-	}
-
-	engine := sim.NewEngine(cfg.Seed)
-	nw := netsim.NewNetwork(engine)
-	sw := nw.AddSwitch("sw")
-	rcv := nw.AddHost("rcv")
-	pktSize := cfg.Protocol.PacketSize()
-	hop := cfg.RTT / 4
-	access := netsim.PortConfig{Rate: 10 * cfg.Rate, Delay: hop, Buffer: 4096 * pktSize}
-	bneckCfg := netsim.PortConfig{Rate: cfg.Rate, Delay: hop, Buffer: cfg.BufferPkts * pktSize}
-	if cfg.Protocol.NewPolicy != nil {
-		bneckCfg.Policy = cfg.Protocol.NewPolicy(engine.Rand())
-	}
-	if err := nw.Connect(rcv, sw, access, bneckCfg); err != nil {
+// RunBuildup executes the microbenchmark for protocol p.
+func RunBuildup(p Protocol) (*BuildupResult, error) {
+	engine := sim.NewEngine(buildupSeed)
+	// Long-lived senders first, then the short-transfer client.
+	st, err := newStar(engine, p, buildupLongFlows+1, buildupRate, buildupRTT, buildupBufferPkts)
+	if err != nil {
 		return nil, err
 	}
-	longHosts := make([]*netsim.Host, cfg.LongFlows)
-	for i := range longHosts {
-		longHosts[i] = nw.AddHost(fmt.Sprintf("bg%d", i))
-		if err := nw.Connect(longHosts[i], sw, access, access); err != nil {
-			return nil, err
-		}
-	}
-	shortHost := nw.AddHost("short")
-	if err := nw.Connect(shortHost, sw, access, access); err != nil {
-		return nil, err
-	}
-	if err := nw.ComputeRoutes(); err != nil {
-		return nil, err
-	}
-
-	bneck := sw.PortTo(rcv.ID())
+	rcv, bneck := st.Receiver, st.Bottleneck
+	longHosts, shortHost := st.Senders[:buildupLongFlows], st.Senders[buildupLongFlows]
+	pktSize := p.PacketSize()
 	rec := netsim.NewQueueRecorder(pktSize, 0)
-	rec.WarmupUntil = sim.FromDuration(cfg.Warmup)
+	rec.WarmupUntil = sim.FromDuration(buildupWarmup)
 	bneck.SetMonitor(rec)
 
 	bg := workload.StartLongLived(engine, workload.LongLivedConfig{
 		Hosts:       longHosts,
 		Receiver:    rcv,
-		TCP:         cfg.Protocol.TCP,
-		StartJitter: cfg.RTT,
+		TCP:         p.TCP,
+		StartJitter: buildupRTT,
 	})
 
 	// Sequential short transfers on fresh connections, starting after
@@ -112,30 +81,30 @@ func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
 	launch = func() {
 		flow := flowID
 		flowID++
-		s := tcp.NewSender(shortHost, flow, rcv.ID(), cfg.ShortBytes, cfg.Protocol.TCP)
-		tcp.NewReceiver(rcv, flow, shortHost.ID(), cfg.Protocol.TCP)
+		s := tcp.NewSender(shortHost, flow, rcv.ID(), buildupShortBytes, p.TCP)
+		tcp.NewReceiver(rcv, flow, shortHost.ID(), p.TCP)
 		started := engine.Now()
 		s.OnComplete = func(done sim.Time) {
 			fcts = append(fcts, (done - started).Duration().Seconds())
 			shortHost.Unregister(flow)
 			rcv.Unregister(flow)
-			engine.After(cfg.ShortEvery, launch)
+			engine.After(buildupShortEvery, launch)
 		}
 		s.Start()
 	}
-	engine.Schedule(sim.FromDuration(cfg.Warmup), launch)
+	engine.Schedule(sim.FromDuration(buildupWarmup), launch)
 
-	end := sim.FromDuration(cfg.Warmup + cfg.Duration)
+	end := sim.FromDuration(buildupWarmup + buildupDuration)
 	if err := engine.RunUntil(end); err != nil {
 		return nil, err
 	}
 	rec.Finish(end)
 	if len(fcts) == 0 {
-		return nil, errors.New("core: no short transfer completed; duration too small")
+		return nil, errors.New("core: no short transfer completed")
 	}
 
 	res := &BuildupResult{
-		Protocol:       cfg.Protocol.Name,
+		Protocol:       p.Name,
 		ShortTransfers: len(fcts),
 		MeanFCT:        secondsToDuration(stats.Mean(fcts)),
 		P95FCT:         secondsToDuration(stats.Quantile(fcts, 0.95)),
@@ -143,24 +112,6 @@ func RunBuildup(cfg BuildupConfig) (*BuildupResult, error) {
 		QueueMeanPkts:  rec.Mean(),
 	}
 	res.BackgroundUtilization = float64(bg.TotalAcked()) /
-		(cfg.Rate.BytesPerSecond() * (cfg.Warmup + cfg.Duration).Seconds())
+		(buildupRate.BytesPerSecond() * (buildupWarmup + buildupDuration).Seconds())
 	return res, nil
-}
-
-// DefaultBuildup returns the DCTCP-paper parameters scaled to this
-// repository's simulation defaults: 2 background flows and 20 KB short
-// transfers on the 10 Gbps dumbbell.
-func DefaultBuildup(p Protocol) BuildupConfig {
-	return BuildupConfig{
-		Protocol:   p,
-		LongFlows:  2,
-		ShortBytes: 20 << 10,
-		ShortEvery: 500 * time.Microsecond,
-		Rate:       10 * netsim.Gbps,
-		RTT:        100 * time.Microsecond,
-		BufferPkts: 600,
-		Duration:   60 * time.Millisecond,
-		Warmup:     20 * time.Millisecond,
-		Seed:       1,
-	}
 }

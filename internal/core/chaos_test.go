@@ -99,11 +99,11 @@ func TestChaosDeterminismSeedSensitivity(t *testing.T) {
 func TestChaosDeterminismAcrossWorkers(t *testing.T) {
 	base := chaosConfig(7)
 	flows := []int{4, 8, 12}
-	serial, err := SweepFlowsParallel(context.Background(), base, flows, 1)
+	serial, err := SweepFlows(context.Background(), base, flows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := SweepFlowsParallel(context.Background(), base, flows, 8)
+	parallel, err := SweepFlows(context.Background(), base, flows, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -206,14 +207,14 @@ func TestSweepFlows(t *testing.T) {
 	base := paperDumbbell(DCTCP(40, 1.0/16), 0)
 	base.Duration = 20 * time.Millisecond
 	base.Warmup = 5 * time.Millisecond
-	pts, err := SweepFlows(base, []int{5, 10})
+	pts, err := SweepFlows(context.Background(), base, []int{5, 10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 2 || pts[0].Flows != 5 || pts[1].Flows != 10 {
 		t.Fatalf("sweep points: %+v", pts)
 	}
-	if _, err := SweepFlows(base, []int{0}); err == nil {
+	if _, err := SweepFlows(context.Background(), base, []int{0}, 2); err == nil {
 		t.Fatal("invalid sweep accepted")
 	}
 }
@@ -228,20 +229,10 @@ func TestTestbedValidation(t *testing.T) {
 	if bad.validate() == nil {
 		t.Fatal("workers=0 accepted")
 	}
-	bad = good
-	bad.LinkRate = 0
-	if bad.validate() == nil {
-		t.Fatal("rate=0 accepted")
-	}
-	bad = good
-	bad.BottleneckBuffer = 0
-	if bad.validate() == nil {
-		t.Fatal("buffer=0 accepted")
-	}
-	bad = good
-	bad.HopDelay = 0
-	if bad.validate() == nil {
-		t.Fatal("delay=0 accepted")
+	// The 1 MB split divides by the worker count: validation must come
+	// first, so zero workers is an error rather than a divide panic.
+	if _, err := RunCompletionTime(bad, 1); err == nil {
+		t.Fatal("RunCompletionTime accepted workers=0")
 	}
 	if _, err := RunQuery(good, 0, 1); err == nil {
 		t.Fatal("bytes=0 accepted")
@@ -316,20 +307,6 @@ func TestCompletionTimeExperiment(t *testing.T) {
 	}
 	if res.MaxCompletion < res.P95Completion {
 		t.Fatal("max below p95")
-	}
-}
-
-func TestSweepWorkers(t *testing.T) {
-	base := DefaultTestbed(DCTCP(21, 1.0/16), 0)
-	pts, err := SweepWorkers(base, []int{4, 8}, 2, RunIncast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 || pts[0].Workers != 4 || pts[1].Workers != 8 {
-		t.Fatalf("sweep: %+v", pts)
-	}
-	if _, err := SweepWorkers(base, []int{0}, 2, RunIncast); err == nil {
-		t.Fatal("invalid sweep accepted")
 	}
 }
 
@@ -499,7 +476,7 @@ func TestCubicProtoDumbbell(t *testing.T) {
 
 func TestBuildupShortFlowsFasterUnderDCTCP(t *testing.T) {
 	run := func(p Protocol) *BuildupResult {
-		res, err := RunBuildup(DefaultBuildup(p))
+		res, err := RunBuildup(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,16 +499,5 @@ func TestBuildupShortFlowsFasterUnderDCTCP(t *testing.T) {
 	// DT-DCTCP must not regress the short flows relative to Reno either.
 	if dt.MeanFCT >= reno.MeanFCT {
 		t.Fatalf("short-flow FCT: dt %v vs reno %v", dt.MeanFCT, reno.MeanFCT)
-	}
-}
-
-func TestBuildupValidation(t *testing.T) {
-	if _, err := RunBuildup(BuildupConfig{}); err == nil {
-		t.Fatal("zero config accepted")
-	}
-	cfg := DefaultBuildup(Reno())
-	cfg.Duration = time.Microsecond // too short for any short flow
-	if _, err := RunBuildup(cfg); err == nil {
-		t.Fatal("should fail with no completed transfers")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"dtdctcp/internal/runner"
 	"dtdctcp/internal/sim"
 	"dtdctcp/internal/stats"
+	"dtdctcp/internal/topo"
 	"dtdctcp/internal/trace"
 	"dtdctcp/internal/workload"
 )
@@ -112,6 +113,26 @@ func (s SharedBufferConfig) build(sw *netsim.Switch, bneck *netsim.Port, bufferP
 	return pool, nil
 }
 
+// newStar builds the single-bottleneck star every dumbbell-shaped runner
+// shares: senders and a receiver on one switch, access links at ten
+// times the bottleneck rate with 4096-packet buffers, the RTT split
+// evenly over the four link traversals, and the protocol's queue law on
+// the switch → receiver port. Senders are named w0, w1, … in creation
+// order.
+func newStar(engine *sim.Engine, p Protocol, senders int, rate netsim.Rate, rtt time.Duration, bufferPkts int) (*topo.Star, error) {
+	pktSize := p.PacketSize()
+	hop := rtt / 4
+	bneck := netsim.PortConfig{Rate: rate, Delay: hop, Buffer: bufferPkts * pktSize}
+	if p.NewPolicy != nil {
+		bneck.Policy = p.NewPolicy(engine.Rand())
+	}
+	return topo.NewStar(netsim.NewNetwork(engine), topo.StarConfig{
+		Senders:    senders,
+		Access:     netsim.PortConfig{Rate: 10 * rate, Delay: hop, Buffer: 4096 * pktSize},
+		Bottleneck: bneck,
+	})
+}
+
 func (c DumbbellConfig) validate() error {
 	switch {
 	case c.Flows <= 0:
@@ -194,42 +215,12 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 		return nil, err
 	}
 	engine := sim.NewEngine(cfg.Seed)
-	nw := netsim.NewNetwork(engine)
-	sw := nw.AddSwitch("sw")
-	rcv := nw.AddHost("rcv")
-
+	st, err := newStar(engine, cfg.Protocol, cfg.Flows, cfg.Rate, cfg.RTT, cfg.BufferPkts)
+	if err != nil {
+		return nil, err
+	}
+	nw, sw, rcv, senders, bneck := st.Net, st.Switch, st.Receiver, st.Senders, st.Bottleneck
 	pktSize := cfg.Protocol.PacketSize()
-	// RTT splits evenly over the four link traversals.
-	hop := cfg.RTT / 4
-	access := netsim.PortConfig{
-		Rate:   10 * cfg.Rate,
-		Delay:  hop,
-		Buffer: 4096 * pktSize,
-	}
-	var policy = cfg.Protocol.NewPolicy
-	bneckCfg := netsim.PortConfig{
-		Rate:   cfg.Rate,
-		Delay:  hop,
-		Buffer: cfg.BufferPkts * pktSize,
-	}
-	if policy != nil {
-		bneckCfg.Policy = policy(engine.Rand())
-	}
-	if err := nw.Connect(rcv, sw, access, bneckCfg); err != nil {
-		return nil, err
-	}
-	senders := make([]*netsim.Host, cfg.Flows)
-	for i := range senders {
-		senders[i] = nw.AddHost(fmt.Sprintf("s%d", i))
-		if err := nw.Connect(senders[i], sw, access, access); err != nil {
-			return nil, err
-		}
-	}
-	if err := nw.ComputeRoutes(); err != nil {
-		return nil, err
-	}
-
-	bneck := sw.PortTo(rcv.ID())
 	if cfg.SharedBuffer.enabled() {
 		if _, err := cfg.SharedBuffer.build(sw, bneck, cfg.BufferPkts, pktSize); err != nil {
 			return nil, err
@@ -369,10 +360,7 @@ func RunDumbbell(cfg DumbbellConfig) (*DumbbellResult, error) {
 		res.FaultDrops = st.DroppedLinkDown + st.DroppedCorrupt
 		if res.QueueSeries != nil {
 			if fs, fe, ok := cfg.Chaos.FaultWindow(); ok {
-				rec := stats.MeasureRecovery(res.QueueSeries, stats.RecoveryConfig{
-					FaultStart: fs.Seconds(),
-					FaultEnd:   fe.Seconds(),
-				})
+				rec := stats.MeasureRecovery(res.QueueSeries, fs.Seconds(), fe.Seconds())
 				res.Recovery = &rec
 			}
 		}
@@ -393,24 +381,18 @@ type FlowSweepPoint struct {
 }
 
 // SweepFlows runs the dumbbell at each flow count in flows, reusing every
-// other parameter of base. Points run serially; use SweepFlowsParallel to
-// spread them over worker goroutines.
-func SweepFlows(base DumbbellConfig, flows []int) ([]FlowSweepPoint, error) {
-	return SweepFlowsParallel(context.Background(), base, flows, 1)
-}
-
-// SweepFlowsParallel runs the sweep points concurrently on up to workers
-// goroutines (values < 1 mean GOMAXPROCS). Every point builds a private
+// other parameter of base, on up to workers goroutines (values < 1 mean
+// GOMAXPROCS; 1 runs the points serially). Every point builds a private
 // engine seeded only by base.Seed, so results are byte-identical for any
 // worker count; they are returned in the order of flows.
 //
 // A per-packet trace interleaves points nondeterministically when written
 // from concurrent runs, so a non-nil base.TraceTo forces workers to 1.
-func SweepFlowsParallel(ctx context.Context, base DumbbellConfig, flows []int, workers int) ([]FlowSweepPoint, error) {
+func SweepFlows(ctx context.Context, base DumbbellConfig, flows []int, workers int) ([]FlowSweepPoint, error) {
 	if base.TraceTo != nil {
 		workers = 1
 	}
-	return runner.Map(ctx, len(flows), runner.Options{Workers: workers},
+	return runner.Map(ctx, len(flows), workers,
 		func(_ context.Context, i int) (FlowSweepPoint, error) {
 			cfg := base
 			cfg.Flows = flows[i]

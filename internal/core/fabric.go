@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"dtdctcp/internal/flowgen"
 	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
-	"dtdctcp/internal/runner"
 	"dtdctcp/internal/sim"
 	"dtdctcp/internal/topo"
 )
@@ -47,8 +45,9 @@ type FabricConfig struct {
 	// in-flight transfers can finish (default 2 s).
 	Drain time.Duration
 	// SmallMax and LargeMin bound the FCT size buckets in bytes:
-	// small ≤ SmallMax < medium < LargeMin ≤ large. Defaults follow the
-	// DCTCP paper's convention, 100 KB and 1 MB.
+	// small ≤ SmallMax < medium < LargeMin ≤ large, so LargeMin must
+	// exceed SmallMax. Zero selects the DCTCP paper's convention,
+	// 100 KB and 1 MB respectively.
 	SmallMax, LargeMin int64
 	// Seed drives all randomness: trace generation and the ECMP salt.
 	Seed int64
@@ -74,6 +73,10 @@ func (c FabricConfig) validate() error {
 		return errors.New("core: Load must be positive")
 	case c.Flows <= 0:
 		return errors.New("core: Flows must be positive")
+	case c.SmallMax < 0:
+		return errors.New("core: SmallMax must not be negative")
+	case c.LargeMin <= c.SmallMax:
+		return fmt.Errorf("core: LargeMin (%d) must exceed SmallMax (%d)", c.LargeMin, c.SmallMax)
 	default:
 		return nil
 	}
@@ -145,17 +148,17 @@ type FabricResult struct {
 
 // RunFabric executes the scenario to completion and aggregates results.
 func RunFabric(cfg FabricConfig) (*FabricResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Drain <= 0 {
 		cfg.Drain = 2 * time.Second
 	}
-	if cfg.SmallMax <= 0 {
+	if cfg.SmallMax == 0 {
 		cfg.SmallMax = 100_000
 	}
-	if cfg.LargeMin <= cfg.SmallMax {
+	if cfg.LargeMin == 0 {
 		cfg.LargeMin = 1_000_000
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 
 	engine := sim.NewEngine(cfg.Seed)
@@ -268,35 +271,4 @@ func RunFabric(cfg FabricConfig) (*FabricResult, error) {
 
 	w.Cleanup()
 	return res, nil
-}
-
-// LoadSweepPoint is one (load, result) sample of a load sweep.
-type LoadSweepPoint struct {
-	// Load is the offered load fraction.
-	Load float64
-	// Result is the fabric outcome at this load.
-	Result *FabricResult
-}
-
-// SweepLoads runs the fabric at each load factor, reusing every other
-// parameter of base.
-func SweepLoads(base FabricConfig, loads []float64) ([]LoadSweepPoint, error) {
-	return SweepLoadsParallel(context.Background(), base, loads, 1)
-}
-
-// SweepLoadsParallel runs the sweep points concurrently on up to
-// workers goroutines (values < 1 mean GOMAXPROCS). Every point builds a
-// private engine seeded only by base.Seed, so results are
-// byte-identical for any worker count; they are returned in load order.
-func SweepLoadsParallel(ctx context.Context, base FabricConfig, loads []float64, workers int) ([]LoadSweepPoint, error) {
-	return runner.Map(ctx, len(loads), runner.Options{Workers: workers},
-		func(_ context.Context, i int) (LoadSweepPoint, error) {
-			cfg := base
-			cfg.Load = loads[i]
-			res, err := RunFabric(cfg)
-			if err != nil {
-				return LoadSweepPoint{}, fmt.Errorf("sweep load=%.2f: %w", loads[i], err)
-			}
-			return LoadSweepPoint{Load: loads[i], Result: res}, nil
-		})
 }

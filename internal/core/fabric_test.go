@@ -7,6 +7,7 @@ import (
 
 	"dtdctcp/internal/flowgen"
 	"dtdctcp/internal/netsim"
+	"dtdctcp/internal/runner"
 )
 
 func fabricConfig(t *testing.T) FabricConfig {
@@ -103,13 +104,21 @@ func TestRunFabricFatTreeWithMetrics(t *testing.T) {
 func TestRunFabricValidates(t *testing.T) {
 	good := fabricConfig(t)
 	for name, mutate := range map[string]func(*FabricConfig){
-		"bad topology": func(c *FabricConfig) { c.Topology = "torus" },
-		"nil cdf":      func(c *FabricConfig) { c.CDF = nil },
-		"zero load":    func(c *FabricConfig) { c.Load = 0 },
-		"zero flows":   func(c *FabricConfig) { c.Flows = 0 },
-		"zero rate":    func(c *FabricConfig) { c.Rate = 0 },
-		"zero delay":   func(c *FabricConfig) { c.HopDelay = 0 },
-		"zero buffer":  func(c *FabricConfig) { c.BufferPkts = 0 },
+		"bad topology":       func(c *FabricConfig) { c.Topology = "torus" },
+		"nil cdf":            func(c *FabricConfig) { c.CDF = nil },
+		"zero load":          func(c *FabricConfig) { c.Load = 0 },
+		"zero flows":         func(c *FabricConfig) { c.Flows = 0 },
+		"zero rate":          func(c *FabricConfig) { c.Rate = 0 },
+		"zero delay":         func(c *FabricConfig) { c.HopDelay = 0 },
+		"zero buffer":        func(c *FabricConfig) { c.BufferPkts = 0 },
+		"negative small max": func(c *FabricConfig) { c.SmallMax = -1 },
+		"large min below small max": func(c *FabricConfig) {
+			c.SmallMax, c.LargeMin = 100_000, 50_000
+		},
+		"large min equals small max": func(c *FabricConfig) {
+			c.SmallMax, c.LargeMin = 100_000, 100_000
+		},
+		"small max above default large min": func(c *FabricConfig) { c.SmallMax = 2_000_000 },
 		"odd k": func(c *FabricConfig) {
 			c.Topology = "fattree"
 			c.K = 3
@@ -148,22 +157,28 @@ func TestFabricDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepLoadsParallelWorkers pins worker-count invariance: each point
-// owns a private engine, so 1 worker and 4 workers agree byte for byte.
+// TestSweepLoadsParallelWorkers pins worker-count invariance: fabric
+// points mapped over load factors own private engines, so 1 worker and
+// 4 workers agree byte for byte.
 func TestSweepLoadsParallelWorkers(t *testing.T) {
 	base := fabricConfig(t)
 	base.Flows = 30
 	loads := []float64{0.2, 0.5}
-	one, err := SweepLoadsParallel(context.Background(), base, loads, 1)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(workers int) []*FabricResult {
+		pts, err := runner.Map(context.Background(), len(loads), workers,
+			func(_ context.Context, i int) (*FabricResult, error) {
+				cfg := base
+				cfg.Load = loads[i]
+				return RunFabric(cfg)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
 	}
-	many, err := SweepLoadsParallel(context.Background(), base, loads, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one, many := sweep(1), sweep(4)
 	for i := range one {
-		if one[i].Result.Digest != many[i].Result.Digest {
+		if one[i].Digest != many[i].Digest {
 			t.Fatalf("load %.2f: workers 1 vs 4 diverged", loads[i])
 		}
 		if one[i].Load != loads[i] {

@@ -47,12 +47,6 @@ type HybridConfig struct {
 	// QueueSampleEvery decimates the queue time series; zero disables
 	// the series (aggregates are always collected).
 	QueueSampleEvery time.Duration
-	// CouplingInterval is the fluid/packet coupling tick; zero selects
-	// the hybrid package's default (R₀/8). Ignored with FullPacket.
-	CouplingInterval time.Duration
-	// StepsPerTick is the number of fluid RK4 steps per coupling tick;
-	// zero selects the default (8). Ignored with FullPacket.
-	StepsPerTick int
 	// FullPacket simulates the background flows packet-level instead of
 	// coupling the fluid model — the conformance reference.
 	FullPacket bool
@@ -81,10 +75,6 @@ func (c HybridConfig) validate() error {
 		return errors.New("core: Duration must be positive")
 	case c.Warmup < 0:
 		return errors.New("core: Warmup must not be negative")
-	case c.CouplingInterval < 0:
-		return errors.New("core: CouplingInterval must not be negative")
-	case c.StepsPerTick < 0:
-		return errors.New("core: StepsPerTick must not be negative")
 	case !c.FullPacket && c.Protocol.MarkingLaw() == nil:
 		return errors.New("core: hybrid mode requires a protocol with a marking law")
 	default:
@@ -174,52 +164,20 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 		return nil, err
 	}
 	engine := sim.NewEngine(cfg.Seed)
-	nw := netsim.NewNetwork(engine)
-	sw := nw.AddSwitch("sw")
-	rcv := nw.AddHost("rcv")
-
-	pktSize := cfg.Protocol.PacketSize()
-	hop := cfg.RTT / 4
-	access := netsim.PortConfig{
-		Rate:   10 * cfg.Rate,
-		Delay:  hop,
-		Buffer: 4096 * pktSize,
-	}
-	bneckCfg := netsim.PortConfig{
-		Rate:   cfg.Rate,
-		Delay:  hop,
-		Buffer: cfg.BufferPkts * pktSize,
-	}
-	if cfg.Protocol.NewPolicy != nil {
-		bneckCfg.Policy = cfg.Protocol.NewPolicy(engine.Rand())
-	}
-	if err := nw.Connect(rcv, sw, access, bneckCfg); err != nil {
-		return nil, err
-	}
 	// Foreground hosts first, then (packet mode only) background hosts,
 	// so foreground flows get identical host identities in both modes.
-	fgHosts := make([]*netsim.Host, cfg.FgFlows)
-	for i := range fgHosts {
-		fgHosts[i] = nw.AddHost(fmt.Sprintf("f%d", i))
-		if err := nw.Connect(fgHosts[i], sw, access, access); err != nil {
-			return nil, err
-		}
-	}
-	var bgHosts []*netsim.Host
+	senders := cfg.FgFlows
 	if cfg.FullPacket {
-		bgHosts = make([]*netsim.Host, cfg.BgFlows)
-		for i := range bgHosts {
-			bgHosts[i] = nw.AddHost(fmt.Sprintf("b%d", i))
-			if err := nw.Connect(bgHosts[i], sw, access, access); err != nil {
-				return nil, err
-			}
-		}
+		senders += cfg.BgFlows
 	}
-	if err := nw.ComputeRoutes(); err != nil {
+	st, err := newStar(engine, cfg.Protocol, senders, cfg.Rate, cfg.RTT, cfg.BufferPkts)
+	if err != nil {
 		return nil, err
 	}
+	rcv, bneck := st.Receiver, st.Bottleneck
+	fgHosts, bgHosts := st.Senders[:cfg.FgFlows], st.Senders[cfg.FgFlows:]
+	pktSize := cfg.Protocol.PacketSize()
 
-	bneck := sw.PortTo(rcv.ID())
 	var obs *observer
 	if cfg.Metrics {
 		obs = newObserver(engine, 0)
@@ -249,14 +207,11 @@ func RunHybrid(cfg HybridConfig) (*HybridResult, error) {
 			StartJitter: cfg.RTT,
 		})
 	} else {
-		var err error
 		coupler, err = hybrid.New(hybrid.Config{
-			Fluid:        cfg.fluidConfig(),
-			Port:         bneck,
-			PktSize:      pktSize,
-			Interval:     cfg.CouplingInterval,
-			StepsPerTick: cfg.StepsPerTick,
-			Horizon:      cfg.Warmup + cfg.Duration,
+			Fluid:   cfg.fluidConfig(),
+			Port:    bneck,
+			PktSize: pktSize,
+			Horizon: cfg.Warmup + cfg.Duration,
 		})
 		if err != nil {
 			return nil, err

@@ -170,8 +170,6 @@ func TestHybridConfigValidation(t *testing.T) {
 		func(c *HybridConfig) { c.BufferPkts = 0 },
 		func(c *HybridConfig) { c.Duration = 0 },
 		func(c *HybridConfig) { c.Warmup = -time.Second },
-		func(c *HybridConfig) { c.CouplingInterval = -time.Second },
-		func(c *HybridConfig) { c.StepsPerTick = -1 },
 		func(c *HybridConfig) { c.Protocol = Reno() }, // no marking law in hybrid mode
 	}
 	for i, mutate := range bad {

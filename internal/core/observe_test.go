@@ -71,16 +71,3 @@ func TestTestbedMetricsSnapshot(t *testing.T) {
 		t.Fatal("testbed Metrics snapshot missing")
 	}
 }
-
-// TestSweepLoadsSerial covers the serial fabric sweep wrapper.
-func TestSweepLoadsSerial(t *testing.T) {
-	base := fabricConfig(t)
-	base.Flows = 20
-	pts, err := SweepLoads(base, []float64{0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 1 || pts[0].Load != 0.3 || pts[0].Result.Completed != 20 {
-		t.Fatalf("SweepLoads: %+v", pts)
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dtdctcp/internal/netsim"
+	"dtdctcp/internal/runner"
 )
 
 // sweepBase is a deliberately tiny dumbbell so the determinism tests run
@@ -42,11 +43,11 @@ func TestSweepDeterministicUnderParallelism(t *testing.T) {
 	flows := []int{2, 4, 8, 16, 24, 32}
 	base := sweepBase()
 
-	serial, err := SweepFlowsParallel(context.Background(), base, flows, 1)
+	serial, err := SweepFlows(context.Background(), base, flows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := SweepFlowsParallel(context.Background(), base, flows, 8)
+	parallel, err := SweepFlows(context.Background(), base, flows, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestSweepDeterministicUnderParallelism(t *testing.T) {
 	}
 
 	// And repeated parallel runs must agree with themselves.
-	again, err := SweepFlowsParallel(context.Background(), base, flows, 8)
+	again, err := SweepFlows(context.Background(), base, flows, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,52 +67,29 @@ func TestSweepDeterministicUnderParallelism(t *testing.T) {
 	}
 }
 
-// TestSweepFlowsSerialMatchesParallelAPI pins the compatibility contract:
-// the legacy serial entry point is exactly the parallel one at workers=1.
-func TestSweepFlowsSerialMatchesParallelAPI(t *testing.T) {
-	flows := []int{2, 6}
-	base := sweepBase()
-	legacy, err := SweepFlows(base, flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := SweepFlowsParallel(context.Background(), base, flows, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshalSweep(t, legacy), marshalSweep(t, par)) {
-		t.Fatal("SweepFlows and SweepFlowsParallel disagree on identical input")
-	}
-}
-
-// TestSweepWorkersParallelDeterministic covers the testbed sweep the same
-// way, with the incast runner as the experiment body.
+// TestSweepWorkersParallelDeterministic covers the testbed the same way:
+// incast points mapped over testbed configs are byte-identical at 1 and
+// 8 workers.
 func TestSweepWorkersParallelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("incast rounds are slow")
 	}
-	base := DefaultTestbed(DCTCP(40, 1.0/16), 0)
 	counts := []int{2, 4, 6}
-	run := func(cfg TestbedConfig, rounds int) (*QueryResult, error) {
-		return RunQuery(cfg, 16<<10, rounds)
+	sweep := func(workers int) []byte {
+		pts, err := runner.Map(context.Background(), len(counts), workers,
+			func(_ context.Context, i int) (*QueryResult, error) {
+				return RunQuery(DefaultTestbed(DCTCP(40, 1.0/16), counts[i]), 16<<10, 2)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	serial, err := SweepWorkersParallel(context.Background(), base, counts, 2, 1, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := SweepWorkersParallel(context.Background(), base, counts, 2, 8, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := json.Marshal(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := json.Marshal(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sj, pj) {
-		t.Fatalf("testbed sweep differs between par=1 and par=8:\nserial:   %.200s\nparallel: %.200s", sj, pj)
+	if sj, pj := sweep(1), sweep(8); !bytes.Equal(sj, pj) {
+		t.Fatalf("testbed sweep differs between 1 and 8 workers:\nserial:   %.200s\nparallel: %.200s", sj, pj)
 	}
 }

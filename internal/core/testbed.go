@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -9,18 +8,41 @@ import (
 	"dtdctcp/internal/chaos"
 	"dtdctcp/internal/metrics"
 	"dtdctcp/internal/netsim"
-	"dtdctcp/internal/runner"
 	"dtdctcp/internal/sim"
 	"dtdctcp/internal/stats"
 	"dtdctcp/internal/workload"
 )
 
+// The paper's NetFPGA testbed (Fig. 13).
+const (
+	// testbedLinkRate is every port's speed; the NetFPGA cards run
+	// 1 Gbps.
+	testbedLinkRate = 1 * netsim.Gbps
+	// testbedBottleneckBuffer is the core→aggregator buffer (128 KB);
+	// testbedEdgeBuffer is every other port's (512 KB).
+	testbedBottleneckBuffer = 128 << 10
+	testbedEdgeBuffer       = 512 << 10
+	// testbedHopDelay is the one-way propagation delay per link: the
+	// paper reports ≈100 µs RTT between hosts on the same switch, i.e.
+	// ≈25 µs per traversal.
+	testbedHopDelay = 25 * time.Microsecond
+	// testbedStartJitter staggers worker responses within a round,
+	// modelling request fan-out serialization and host scheduling
+	// noise on the real testbed.
+	testbedStartJitter = 50 * time.Microsecond
+	// testbedGap is the aggregator's think time between rounds.
+	testbedGap = 100 * time.Microsecond
+)
+
 // TestbedConfig reproduces the paper's NetFPGA testbed (Fig. 13) in the
 // simulator: one core switch (Switch 1) with the aggregator host and three
 // edge switches, workers spread round-robin across the edges, every link
-// at 1 Gbps. The bottleneck is the core→aggregator port: it carries the
-// protocol's marking law and a 128 KB buffer; all other ports are
-// DropTail with 512 KB, exactly as the paper configures it.
+// at 1 Gbps with ≈25 µs of propagation. The bottleneck is the
+// core→aggregator port: it carries the protocol's marking law and a
+// 128 KB buffer; all other ports are DropTail with 512 KB, exactly as the
+// paper configures it. Each worker keeps one connection across rounds,
+// whose congestion state carries over — the classic incast benchmark
+// setup the paper inherits from Nagle et al.
 type TestbedConfig struct {
 	// Protocol selects endpoints and the bottleneck queue law.
 	Protocol Protocol
@@ -28,32 +50,10 @@ type TestbedConfig struct {
 	// has 9 physical workers but scales flows beyond that; we scale
 	// hosts with the flow count, which the simulator affords).
 	Workers int
-	// LinkRate is the port speed; the paper's NetFPGA cards run 1 Gbps.
-	LinkRate netsim.Rate
-	// BottleneckBuffer is the core→aggregator buffer in bytes (paper:
-	// 128 KB).
-	BottleneckBuffer int
-	// EdgeBuffer is every other port's buffer in bytes (paper: 512 KB).
-	EdgeBuffer int
-	// HopDelay is the per-link one-way propagation delay; the paper
-	// reports ≈100 µs RTT between hosts on the same switch, i.e. ≈25 µs
-	// per traversal.
-	HopDelay time.Duration
-	// StartJitter staggers worker responses within a round, modelling
-	// request fan-out serialization and host scheduling noise on the
-	// real testbed.
-	StartJitter time.Duration
-	// Gap is the aggregator's think time between rounds.
-	Gap time.Duration
 	// Deadline, when positive, gives every response a per-round
 	// completion deadline; D2TCP endpoints modulate their backoff with
 	// it and QueryResult reports the miss rate for every variant.
 	Deadline time.Duration
-	// FreshConnections opens new connections (slow start) every round.
-	// The default — persistent connections whose congestion state
-	// carries across rounds — matches the classic incast benchmark
-	// setup the paper inherits from Nagle et al.
-	FreshConnections bool
 	// Seed drives randomness.
 	Seed int64
 
@@ -76,32 +76,14 @@ type TestbedConfig struct {
 
 // DefaultTestbed returns the paper's testbed parameters for a protocol.
 func DefaultTestbed(p Protocol, workers int) TestbedConfig {
-	return TestbedConfig{
-		Protocol:         p,
-		Workers:          workers,
-		LinkRate:         1 * netsim.Gbps,
-		BottleneckBuffer: 128 << 10,
-		EdgeBuffer:       512 << 10,
-		HopDelay:         25 * time.Microsecond,
-		StartJitter:      50 * time.Microsecond,
-		Gap:              100 * time.Microsecond,
-		Seed:             1,
-	}
+	return TestbedConfig{Protocol: p, Workers: workers, Seed: 1}
 }
 
 func (c TestbedConfig) validate() error {
-	switch {
-	case c.Workers <= 0:
+	if c.Workers <= 0 {
 		return errors.New("core: Workers must be positive")
-	case c.LinkRate <= 0:
-		return errors.New("core: LinkRate must be positive")
-	case c.BottleneckBuffer <= 0 || c.EdgeBuffer <= 0:
-		return errors.New("core: buffers must be positive")
-	case c.HopDelay <= 0:
-		return errors.New("core: HopDelay must be positive")
-	default:
-		return nil
 	}
+	return nil
 }
 
 // testbed is a built topology ready to carry queries.
@@ -120,8 +102,8 @@ func buildTestbed(cfg TestbedConfig) (*testbed, error) {
 	core := nw.AddSwitch("switch1")
 	agg := nw.AddHost("aggregator")
 
-	edge := netsim.PortConfig{Rate: cfg.LinkRate, Delay: cfg.HopDelay, Buffer: cfg.EdgeBuffer}
-	bneckCfg := netsim.PortConfig{Rate: cfg.LinkRate, Delay: cfg.HopDelay, Buffer: cfg.BottleneckBuffer}
+	edge := netsim.PortConfig{Rate: testbedLinkRate, Delay: testbedHopDelay, Buffer: testbedEdgeBuffer}
+	bneckCfg := netsim.PortConfig{Rate: testbedLinkRate, Delay: testbedHopDelay, Buffer: testbedBottleneckBuffer}
 	if cfg.Protocol.NewPolicy != nil {
 		bneckCfg.Policy = cfg.Protocol.NewPolicy(engine.Rand())
 	}
@@ -148,12 +130,9 @@ func buildTestbed(cfg TestbedConfig) (*testbed, error) {
 		return nil, err
 	}
 	bneck := core.PortTo(agg.ID())
+	pktSize := cfg.Protocol.PacketSize()
+	bufferPkts := max(testbedBottleneckBuffer/pktSize, 1)
 	if cfg.SharedBuffer.enabled() {
-		pktSize := cfg.Protocol.PacketSize()
-		bufferPkts := cfg.BottleneckBuffer / pktSize
-		if bufferPkts < 1 {
-			bufferPkts = 1
-		}
 		if _, err := cfg.SharedBuffer.build(core, bneck, bufferPkts, pktSize); err != nil {
 			return nil, err
 		}
@@ -161,11 +140,6 @@ func buildTestbed(cfg TestbedConfig) (*testbed, error) {
 	var obs *observer
 	if cfg.Metrics {
 		obs = newObserver(engine, 0)
-		pktSize := cfg.Protocol.PacketSize()
-		bufferPkts := cfg.BottleneckBuffer / pktSize
-		if bufferPkts < 1 {
-			bufferPkts = 1
-		}
 		bneck.SetMonitor(obs.observePort("bottleneck", bneck, pktSize, bufferPkts))
 	}
 	if cfg.Chaos != nil {
@@ -250,10 +224,9 @@ func RunQuery(cfg TestbedConfig, bytesPerWorker int64, rounds int) (*QueryResult
 		Aggregator:     tb.aggregator,
 		BytesPerWorker: bytesPerWorker,
 		Rounds:         rounds,
-		Gap:            cfg.Gap,
+		Gap:            testbedGap,
 		TCP:            cfg.Protocol.TCP,
-		Persistent:     !cfg.FreshConnections,
-		StartJitter:    cfg.StartJitter,
+		StartJitter:    testbedStartJitter,
 		Deadline:       cfg.Deadline,
 	}
 	queries := workload.StartQueries(tb.engine, qcfg)
@@ -305,44 +278,14 @@ func RunIncast(cfg TestbedConfig, rounds int) (*QueryResult, error) {
 // RunCompletionTime is the Fig. 15 experiment: 1 MB split evenly over the
 // workers.
 func RunCompletionTime(cfg TestbedConfig, rounds int) (*QueryResult, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	per := int64(1<<20) / int64(cfg.Workers)
 	if per <= 0 {
 		return nil, errors.New("core: too many workers for 1 MB query")
 	}
 	return RunQuery(cfg, per, rounds)
-}
-
-// WorkerSweepPoint is one (n, result) sample of the Figs. 14–15 sweeps.
-type WorkerSweepPoint struct {
-	// Workers is the synchronized flow count.
-	Workers int
-	// Result is the query outcome at this count.
-	Result *QueryResult
-}
-
-// SweepWorkers repeats run for each worker count, cloning base. Points run
-// serially; use SweepWorkersParallel to spread them over goroutines.
-func SweepWorkers(base TestbedConfig, workers []int, rounds int,
-	run func(TestbedConfig, int) (*QueryResult, error)) ([]WorkerSweepPoint, error) {
-	return SweepWorkersParallel(context.Background(), base, workers, rounds, 1, run)
-}
-
-// SweepWorkersParallel runs the sweep points concurrently on up to par
-// goroutines (values < 1 mean GOMAXPROCS). Each point builds a private
-// testbed seeded only by base.Seed, so results are byte-identical for any
-// worker count; they are returned in the order of workers.
-func SweepWorkersParallel(ctx context.Context, base TestbedConfig, workers []int, rounds, par int,
-	run func(TestbedConfig, int) (*QueryResult, error)) ([]WorkerSweepPoint, error) {
-	return runner.Map(ctx, len(workers), runner.Options{Workers: par},
-		func(_ context.Context, i int) (WorkerSweepPoint, error) {
-			cfg := base
-			cfg.Workers = workers[i]
-			res, err := run(cfg, rounds)
-			if err != nil {
-				return WorkerSweepPoint{}, fmt.Errorf("sweep workers=%d: %w", workers[i], err)
-			}
-			return WorkerSweepPoint{Workers: workers[i], Result: res}, nil
-		})
 }
 
 func secondsToDuration(s float64) time.Duration {

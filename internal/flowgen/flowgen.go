@@ -72,13 +72,11 @@ type Config struct {
 	// connection in slow start (the fresh-connection churn path — no
 	// congestion state survives between flows).
 	TCP tcp.Config
-	// BaseFlow is the first flow ID; the workload consumes Flows
-	// consecutive IDs. Zero means 1.
-	BaseFlow netsim.FlowID
-	// StartAfter delays the first arrival, leaving room for the run's
-	// warm-up instrumentation.
-	StartAfter time.Duration
 }
+
+// baseFlow is the first flow ID; a workload consumes Flows consecutive
+// IDs from it.
+const baseFlow netsim.FlowID = 1
 
 // Flow is one trace entry with its measured outcome.
 type Flow struct {
@@ -104,7 +102,6 @@ type Workload struct {
 	Flows []Flow
 
 	hosts   []*netsim.Host
-	cfg     Config
 	senders []*tcp.Sender
 }
 
@@ -132,10 +129,7 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 	case cfg.CapacityBps <= 0:
 		return nil, fmt.Errorf("flowgen: capacity must be positive")
 	}
-	if cfg.BaseFlow == 0 {
-		cfg.BaseFlow = 1
-	}
-	w := &Workload{hosts: hosts, cfg: cfg}
+	w := &Workload{hosts: hosts}
 	rng := hosts[0].Network().Engine().Rand()
 
 	// Endpoint pattern state drawn before the per-flow stream.
@@ -150,7 +144,7 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 
 	// flows/sec such that mean_size · rate = Load · CapacityBps.
 	lambda := cfg.Load * cfg.CapacityBps / cfg.CDF.Mean()
-	at := sim.TimeZero.Add(cfg.StartAfter)
+	at := sim.TimeZero
 	w.Flows = make([]Flow, cfg.Flows)
 	for i := range w.Flows {
 		at = at.Add(time.Duration(rng.ExpFloat64() / lambda * 1e9))
@@ -173,7 +167,7 @@ func Start(hosts []*netsim.Host, cfg Config) (*Workload, error) {
 	w.senders = make([]*tcp.Sender, cfg.Flows)
 	for i := range w.Flows {
 		f := &w.Flows[i]
-		id := cfg.BaseFlow + netsim.FlowID(i)
+		id := baseFlow + netsim.FlowID(i)
 		src, dst := hosts[f.Src], hosts[f.Dst]
 		s := tcp.NewSender(src, id, dst.ID(), f.Size, cfg.TCP)
 		tcp.NewReceiver(dst, id, src.ID(), cfg.TCP)
@@ -249,7 +243,7 @@ func (w *Workload) TotalRetransmissions() uint64 {
 func (w *Workload) Cleanup() {
 	for i := range w.Flows {
 		f := &w.Flows[i]
-		id := w.cfg.BaseFlow + netsim.FlowID(i)
+		id := baseFlow + netsim.FlowID(i)
 		if !f.done {
 			w.hosts[f.Src].Unregister(id)
 		}

@@ -158,7 +158,6 @@ func TestMatrices(t *testing.T) {
 
 	cfg = testConfig(t, f, 200)
 	cfg.Matrix = Incast
-	cfg.BaseFlow = 10000
 	w, err = Start(f.Hosts, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -58,11 +58,16 @@ const SrcKey = 1 << 30
 // whole packets and would inject measurement noise into the ODE.
 const ewmaGain = 0.25
 
+// stepsPerTick is the number of RK4 steps per coupling tick. The tick
+// is R₀/8 (rounded down to the nanosecond grid), so the fluid step is
+// R₀/64.
+const stepsPerTick = 8
+
 // Config parameterizes one fluid/packet coupling.
 type Config struct {
 	// Fluid is the background-flow model. Duration, Step and SampleEvery
-	// are ignored: the Coupler integrates indefinitely with a step of
-	// Interval/StepsPerTick.
+	// are ignored: the Coupler integrates indefinitely, stepsPerTick RK4
+	// steps per R₀/8 coupling tick.
 	Fluid fluid.Config
 	// Port is the bottleneck egress the background flows share with
 	// foreground traffic. It must run on the engine the Coupler is
@@ -70,12 +75,6 @@ type Config struct {
 	Port *netsim.Port
 	// PktSize converts fluid packets to bytes; zero selects 1500.
 	PktSize int
-	// Interval is the coupling tick; zero selects R₀/8 (rounded to the
-	// nanosecond grid).
-	Interval time.Duration
-	// StepsPerTick is the number of RK4 steps per tick; zero selects 8,
-	// giving the default tick a step of R₀/64.
-	StepsPerTick int
 	// Horizon stops the tick chain: no tick is scheduled past it.
 	Horizon time.Duration
 }
@@ -86,12 +85,11 @@ type Coupler struct {
 	port    *netsim.Port
 	engine  *sim.Engine
 
-	pktSize      float64
-	interval     time.Duration
-	intervalSec  float64
-	stepsPerTick int
-	horizon      sim.Time
-	fluidC       float64 // link capacity in fluid packets/second
+	pktSize     float64
+	interval    time.Duration
+	intervalSec float64
+	horizon     sim.Time
+	fluidC      float64 // link capacity in fluid packets/second
 
 	tickFn      func(any)
 	seq         uint64
@@ -101,8 +99,8 @@ type Coupler struct {
 }
 
 // New validates the configuration and builds a Coupler. The fluid
-// stepper is created here with its step pinned to Interval/StepsPerTick,
-// so one tick advances fluid time by exactly one interval.
+// stepper is created here with its step pinned to a stepsPerTick-th of
+// the tick, so one tick advances fluid time by exactly one interval.
 func New(cfg Config) (*Coupler, error) {
 	if cfg.Port == nil {
 		return nil, errors.New("hybrid: nil port")
@@ -117,35 +115,24 @@ func New(cfg Config) (*Coupler, error) {
 	if pktSize < 0 {
 		return nil, errors.New("hybrid: negative packet size")
 	}
-	steps := cfg.StepsPerTick
-	if steps == 0 {
-		steps = 8
-	}
-	if steps < 0 {
-		return nil, errors.New("hybrid: negative steps per tick")
-	}
-	interval := cfg.Interval
-	if interval == 0 {
-		interval = time.Duration(cfg.Fluid.R0() * float64(time.Second) / 8)
-	}
+	interval := time.Duration(cfg.Fluid.R0() * float64(time.Second) / 8)
 	if interval <= 0 {
 		return nil, errors.New("hybrid: non-positive interval")
 	}
 	fcfg := cfg.Fluid
-	fcfg.Step = interval.Seconds() / float64(steps)
+	fcfg.Step = interval.Seconds() / stepsPerTick
 	stp, err := fluid.NewStepper(fcfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Coupler{
-		stepper:      stp,
-		port:         cfg.Port,
-		pktSize:      float64(pktSize),
-		interval:     interval,
-		intervalSec:  interval.Seconds(),
-		stepsPerTick: steps,
-		horizon:      sim.FromDuration(cfg.Horizon),
-		fluidC:       fcfg.C,
+		stepper:     stp,
+		port:        cfg.Port,
+		pktSize:     float64(pktSize),
+		interval:    interval,
+		intervalSec: interval.Seconds(),
+		horizon:     sim.FromDuration(cfg.Horizon),
+		fluidC:      fcfg.C,
 	}, nil
 }
 
@@ -204,7 +191,7 @@ func (c *Coupler) tick() {
 	// The real packet backlog is ambient occupancy for the fluid side.
 	c.stepper.SetAmbientQueue(float64(c.port.QueueLen()) / c.pktSize)
 
-	c.stepper.Advance(c.stepsPerTick)
+	c.stepper.Advance(stepsPerTick)
 
 	// The fluid queue and departure rate become the port's ambient load.
 	st := c.stepper.State()

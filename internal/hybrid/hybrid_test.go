@@ -155,26 +155,27 @@ func TestCouplerForegroundOfferedLoadStarvesFluidDrain(t *testing.T) {
 	}
 }
 
-// TestCouplerStopsAtHorizon pins the tick count: ticks fire at every
-// multiple of the interval in (0, horizon] and then stop, so Run
-// terminates.
+// TestCouplerStopsAtHorizon pins the tick period and count: the tick is
+// R₀/8 on the nanosecond grid, ticks fire at every multiple of it in
+// (0, horizon] and then stop, so Run terminates.
 func TestCouplerStopsAtHorizon(t *testing.T) {
 	e := sim.NewEngine(1)
 	_, _, port := testbed(t, e, netsim.Gbps, 600)
-	c, err := New(Config{
-		Fluid:    fluidCfg(100, netsim.Gbps),
-		Port:     port,
-		Interval: 100 * time.Microsecond,
-		Horizon:  10 * time.Millisecond,
-	})
+	fcfg := fluidCfg(100, netsim.Gbps)
+	const horizon = 10 * time.Millisecond
+	c, err := New(Config{Fluid: fcfg, Port: port, Horizon: horizon})
 	if err != nil {
 		t.Fatal(err)
+	}
+	interval := time.Duration(fcfg.R0() * float64(time.Second) / 8)
+	if c.Interval() != interval {
+		t.Fatalf("interval = %v, want R₀/8 = %v", c.Interval(), interval)
 	}
 	c.Start(e)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.Ticks(), 100; got != want {
+	if got, want := c.Ticks(), int(horizon/interval); got != want || want < 2 {
 		t.Fatalf("ticks = %d, want %d", got, want)
 	}
 }
@@ -189,8 +190,6 @@ func TestNewRejectsInvalid(t *testing.T) {
 		func(c *Config) { c.Horizon = 0 },
 		func(c *Config) { c.Horizon = -time.Second },
 		func(c *Config) { c.PktSize = -1 },
-		func(c *Config) { c.StepsPerTick = -1 },
-		func(c *Config) { c.Interval = -time.Second },
 		func(c *Config) { c.Fluid.N = 0 },
 		func(c *Config) { c.Fluid.Law = nil },
 	}

@@ -80,11 +80,11 @@ func TestSnapshotRepeatable(t *testing.T) {
 func TestSnapshotWorkerIndependent(t *testing.T) {
 	base := goldenConfig()
 	flows := []int{4, 8, 16}
-	one, err := core.SweepFlowsParallel(context.Background(), base, flows, 1)
+	one, err := core.SweepFlows(context.Background(), base, flows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := core.SweepFlowsParallel(context.Background(), base, flows, 8)
+	eight, err := core.SweepFlows(context.Background(), base, flows, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,8 @@
 // the output byte-identical for any worker count.
 //
 // The package deliberately knows nothing about simulations. Map is a
-// generic index-parallel map with panic isolation, context cancellation
-// and serialized progress reporting; the core package layers sweep
-// semantics on top.
+// generic index-parallel map with panic isolation and context
+// cancellation; the core package layers sweep semantics on top.
 package runner
 
 import (
@@ -20,18 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Options tunes a Map call.
-type Options struct {
-	// Workers is the number of concurrent goroutines; values < 1 mean
-	// runtime.GOMAXPROCS(0). Workers is always clamped to the job count.
-	Workers int
-	// OnProgress, when non-nil, is invoked after each job finishes with
-	// the number of completed jobs and the total. Calls are serialized
-	// (one at a time) but may arrive in any completion order; done is
-	// monotonically increasing across calls.
-	OnProgress func(done, total int)
-}
 
 // PanicError wraps a panic recovered from one job so the caller sees
 // which input exploded and where, instead of losing the whole process.
@@ -48,7 +35,8 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: job %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
-// Map runs fn for every index in [0, n) on a pool of workers and returns
+// Map runs fn for every index in [0, n) on up to workers goroutines
+// (values < 1 mean runtime.GOMAXPROCS(0); never more than n) and returns
 // the results in input order. Each invocation must be independent: fn
 // shares nothing with other invocations except what the caller closes
 // over, and that must be read-only or internally synchronized.
@@ -58,11 +46,10 @@ func (e *PanicError) Error() string {
 // the lowest input index is returned alongside a nil slice. Context
 // cancellation stops dispatch the same way and returns ctx.Err() if no
 // job error outranks it.
-func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, index int) (T, error)) ([]T, error) {
+func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, index int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return []T{}, nil
 	}
-	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -76,8 +63,6 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 	var (
 		next    atomic.Int64 // next index to dispatch
 		failed  atomic.Bool  // set on first error; stops dispatch
-		mu      sync.Mutex   // guards done and serializes OnProgress
-		done    int
 		wg      sync.WaitGroup
 		ctxDone = ctx.Done()
 	)
@@ -115,12 +100,6 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 					errs[i] = err
 					failed.Store(true)
 					return
-				}
-				if opts.OnProgress != nil {
-					mu.Lock()
-					done++
-					opts.OnProgress(done, n)
-					mu.Unlock()
 				}
 			}
 		}()

@@ -13,7 +13,7 @@ import (
 
 func TestMapReturnsResultsInInputOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 33} {
-		got, err := Map(context.Background(), 100, Options{Workers: workers},
+		got, err := Map(context.Background(), 100, workers,
 			func(_ context.Context, i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -37,11 +37,11 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return acc, nil
 	}
-	serial, err := Map(context.Background(), 32, Options{Workers: 1}, job)
+	serial, err := Map(context.Background(), 32, 1, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Map(context.Background(), 32, Options{Workers: 8}, job)
+	parallel, err := Map(context.Background(), 32, 8, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestMapZeroJobs(t *testing.T) {
-	got, err := Map(context.Background(), 0, Options{},
+	got, err := Map(context.Background(), 0, 0,
 		func(context.Context, int) (int, error) { return 0, errors.New("never") })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v; want empty, nil", got, err)
@@ -62,7 +62,7 @@ func TestMapZeroJobs(t *testing.T) {
 
 func TestMapReturnsLowestIndexError(t *testing.T) {
 	wantErr := errors.New("boom")
-	_, err := Map(context.Background(), 50, Options{Workers: 4},
+	_, err := Map(context.Background(), 50, 4,
 		func(_ context.Context, i int) (int, error) {
 			if i == 7 || i == 23 {
 				return 0, fmt.Errorf("job %d: %w", i, wantErr)
@@ -81,7 +81,7 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 
 func TestMapStopsDispatchAfterError(t *testing.T) {
 	var started atomic.Int64
-	_, err := Map(context.Background(), 1000, Options{Workers: 2},
+	_, err := Map(context.Background(), 1000, 2,
 		func(_ context.Context, i int) (int, error) {
 			started.Add(1)
 			if i < 2 {
@@ -98,7 +98,7 @@ func TestMapStopsDispatchAfterError(t *testing.T) {
 }
 
 func TestMapPanicIsolation(t *testing.T) {
-	_, err := Map(context.Background(), 10, Options{Workers: 2},
+	_, err := Map(context.Background(), 10, 2,
 		func(_ context.Context, i int) (int, error) {
 			if i == 3 {
 				panic("kaboom")
@@ -124,7 +124,7 @@ func TestMapContextCancellation(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		_, err = Map(ctx, 10_000, Options{Workers: 2},
+		_, err = Map(ctx, 10_000, 2,
 			func(ctx context.Context, i int) (int, error) {
 				if ran.Add(1) == 10 {
 					cancel()
@@ -145,34 +145,9 @@ func TestMapContextCancellation(t *testing.T) {
 	}
 }
 
-func TestMapProgressMonotonicAndComplete(t *testing.T) {
-	var calls []int
-	got, err := Map(context.Background(), 64, Options{
-		Workers: 4,
-		// Serialized by Map; safe to append without locking here.
-		OnProgress: func(done, total int) {
-			if total != 64 {
-				t.Errorf("total = %d, want 64", total)
-			}
-			calls = append(calls, done)
-		},
-	}, func(_ context.Context, i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 64 || len(calls) != 64 {
-		t.Fatalf("results=%d progress=%d, want 64/64", len(got), len(calls))
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("progress call %d reported done=%d, want %d", i, d, i+1)
-		}
-	}
-}
-
 func TestMapDefaultWorkers(t *testing.T) {
 	// Workers <= 0 must still complete everything.
-	got, err := Map(context.Background(), 17, Options{Workers: 0},
+	got, err := Map(context.Background(), 17, 0,
 		func(_ context.Context, i int) (int, error) { return i + 1, nil })
 	if err != nil {
 		t.Fatal(err)

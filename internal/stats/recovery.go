@@ -6,7 +6,7 @@ package stats
 // oscillation re-locks onto a credible period again.
 type Recovery struct {
 	// RefMean and RefStd summarize the pre-fault samples; the reference
-	// band is RefMean ± Band·RefStd.
+	// band is RefMean ± 2·RefStd.
 	RefMean, RefStd float64
 	// RefPeriod is the pre-fault oscillation period (0 when the
 	// pre-fault trace shows no credible periodicity).
@@ -19,51 +19,34 @@ type Recovery struct {
 	DrainTime float64
 
 	// Relocked reports whether a sliding window after the fault end
-	// regained a periodic lock (confidence ≥ MinConfidence, and period
-	// within PeriodTolerance of RefPeriod when one exists); RelockTime
-	// is the delay from fault end to the end of that first window.
+	// regained a periodic lock (confidence ≥ 0.2, and period within
+	// 50% of RefPeriod when one exists); RelockTime is the delay from
+	// fault end to the end of that first window.
 	Relocked   bool
 	RelockTime float64
 }
 
-// RecoveryConfig parameterizes MeasureRecovery. FaultStart/FaultEnd
-// bound the perturbation in the series' time unit; zero-valued tuning
-// fields take documented defaults.
-type RecoveryConfig struct {
-	// FaultStart and FaultEnd bound the fault window (absolute times).
-	FaultStart, FaultEnd float64
-	// Band is the reference-band half-width in standard deviations
-	// (default 2).
-	Band float64
-	// RelockWindow is the sliding-window length for re-lock detection
-	// (default 4·RefPeriod, falling back to 1/8 of the post-fault span
-	// when there is no reference period).
-	RelockWindow float64
-	// MinConfidence is the autocorrelation threshold for a lock
-	// (default 0.2).
-	MinConfidence float64
-	// PeriodTolerance is the allowed fractional deviation from
-	// RefPeriod (default 0.5).
-	PeriodTolerance float64
-}
+// Recovery tuning. The reference band is RefMean ± recoveryBand·RefStd;
+// a sliding window locks when its autocorrelation confidence reaches
+// relockConfidence and its period lies within relockPeriodTol (as a
+// fraction) of RefPeriod. The window spans 4·RefPeriod, or 1/8 of the
+// post-fault span when there is no reference period.
+const (
+	recoveryBand       = 2
+	relockConfidence   = 0.2
+	relockPeriodTol    = 0.5
+	relockWindowCycles = 4
+)
 
 // MeasureRecovery computes fault-recovery metrics of a (typically queue
 // occupancy) series around a perturbation window. The reference
-// statistics come from the samples before FaultStart; drain and re-lock
-// are measured on the samples after FaultEnd.
-func MeasureRecovery(s *Series, cfg RecoveryConfig) Recovery {
+// statistics come from the samples before faultStart; drain and re-lock
+// are measured on the samples after faultEnd. Both bounds are absolute
+// times in the series' unit.
+func MeasureRecovery(s *Series, faultStart, faultEnd float64) Recovery {
 	var r Recovery
-	if s == nil || s.Len() == 0 || cfg.FaultEnd < cfg.FaultStart {
+	if s == nil || s.Len() == 0 || faultEnd < faultStart {
 		return r
-	}
-	if cfg.Band == 0 {
-		cfg.Band = 2
-	}
-	if cfg.MinConfidence == 0 {
-		cfg.MinConfidence = 0.2
-	}
-	if cfg.PeriodTolerance == 0 {
-		cfg.PeriodTolerance = 0.5
 	}
 
 	pre := NewSeries("pre-fault")
@@ -71,9 +54,9 @@ func MeasureRecovery(s *Series, cfg RecoveryConfig) Recovery {
 	for i := 0; i < s.Len(); i++ {
 		p := s.At(i)
 		switch {
-		case p.T < cfg.FaultStart:
+		case p.T < faultStart:
 			pre.Add(p.T, p.V)
-		case p.T >= cfg.FaultEnd:
+		case p.T >= faultEnd:
 			post.Add(p.T, p.V)
 		}
 	}
@@ -89,11 +72,11 @@ func MeasureRecovery(s *Series, cfg RecoveryConfig) Recovery {
 
 	// Time-to-drain: first post-fault instant the occupancy is back at
 	// or below the reference band's upper edge.
-	upper := r.RefMean + cfg.Band*r.RefStd
+	upper := r.RefMean + recoveryBand*r.RefStd
 	for i := 0; i < post.Len(); i++ {
 		if p := post.At(i); p.V <= upper {
 			r.Drained = true
-			r.DrainTime = p.T - cfg.FaultEnd
+			r.DrainTime = p.T - faultEnd
 			break
 		}
 	}
@@ -101,12 +84,9 @@ func MeasureRecovery(s *Series, cfg RecoveryConfig) Recovery {
 	// Re-lock: slide a window over the post-fault trace until
 	// EstimatePeriod reports a credible lock again.
 	span := post.At(post.Len()-1).T - post.At(0).T
-	window := cfg.RelockWindow
+	window := relockWindowCycles * r.RefPeriod
 	if window == 0 {
-		window = 4 * r.RefPeriod
-		if window == 0 {
-			window = span / 8
-		}
+		window = span / 8
 	}
 	if window <= 0 || span < window {
 		return r
@@ -121,7 +101,7 @@ func MeasureRecovery(s *Series, cfg RecoveryConfig) Recovery {
 			}
 		}
 		period, conf := EstimatePeriod(win)
-		if conf < cfg.MinConfidence || period <= 0 {
+		if conf < relockConfidence || period <= 0 {
 			continue
 		}
 		if r.RefPeriod > 0 {
@@ -129,12 +109,12 @@ func MeasureRecovery(s *Series, cfg RecoveryConfig) Recovery {
 			if dev < 0 {
 				dev = -dev
 			}
-			if dev > cfg.PeriodTolerance {
+			if dev > relockPeriodTol {
 				continue
 			}
 		}
 		r.Relocked = true
-		r.RelockTime = start + window - cfg.FaultEnd
+		r.RelockTime = start + window - faultEnd
 		if r.RelockTime < 0 {
 			r.RelockTime = 0
 		}

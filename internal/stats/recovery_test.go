@@ -36,7 +36,7 @@ func TestMeasureRecoveryDrainAndRelock(t *testing.T) {
 		faultEnd   = 1.2
 	)
 	s := perturbedSine(period, level, faultStart, faultEnd, 40, 0.05, rng)
-	r := MeasureRecovery(s, RecoveryConfig{FaultStart: faultStart, FaultEnd: faultEnd})
+	r := MeasureRecovery(s, faultStart, faultEnd)
 	if math.Abs(r.RefMean-level) > 0.2 {
 		t.Fatalf("RefMean = %v, want ≈ %v", r.RefMean, level)
 	}
@@ -67,7 +67,7 @@ func TestMeasureRecoveryNeverDrains(t *testing.T) {
 			s.Add(t, 100) // pinned after the fault, forever
 		}
 	}
-	r := MeasureRecovery(s, RecoveryConfig{FaultStart: 1.0, FaultEnd: 1.1})
+	r := MeasureRecovery(s, 1.0, 1.1)
 	if r.Drained {
 		t.Fatalf("pinned trace reported drained after %v", r.DrainTime)
 	}
@@ -83,7 +83,7 @@ func TestMeasureRecoveryUnperturbed(t *testing.T) {
 	for t := 0.0; t < 2.0; t += 0.001 {
 		s.Add(t, 5+math.Sin(2*math.Pi*t/0.05))
 	}
-	r := MeasureRecovery(s, RecoveryConfig{FaultStart: 1.0, FaultEnd: 1.1})
+	r := MeasureRecovery(s, 1.0, 1.1)
 	if !r.Drained || r.DrainTime > 0.01 {
 		t.Fatalf("calm trace: Drained=%v DrainTime=%v, want immediate", r.Drained, r.DrainTime)
 	}
@@ -93,12 +93,12 @@ func TestMeasureRecoveryUnperturbed(t *testing.T) {
 }
 
 func TestMeasureRecoveryDegenerate(t *testing.T) {
-	if r := MeasureRecovery(nil, RecoveryConfig{FaultEnd: 1}); r.Drained || r.Relocked {
+	if r := MeasureRecovery(nil, 0, 1); r.Drained || r.Relocked {
 		t.Fatal("nil series produced recovery claims")
 	}
 	s := NewSeries("x")
 	s.Add(0, 1)
-	if r := MeasureRecovery(s, RecoveryConfig{FaultStart: 2, FaultEnd: 1}); r.Drained {
+	if r := MeasureRecovery(s, 2, 1); r.Drained {
 		t.Fatal("inverted fault window produced recovery claims")
 	}
 	// All samples inside the fault window: no reference, no post-fault.
@@ -106,7 +106,7 @@ func TestMeasureRecoveryDegenerate(t *testing.T) {
 	for t := 1.0; t < 1.1; t += 0.001 {
 		w.Add(t, 3)
 	}
-	r := MeasureRecovery(w, RecoveryConfig{FaultStart: 0.5, FaultEnd: 2})
+	r := MeasureRecovery(w, 0.5, 2)
 	if r.Drained || r.Relocked || r.RefMean != 0 {
 		t.Fatalf("windowed-out series produced %+v", r)
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // StarConfig describes the classic n-senders-one-receiver star the
-// workload tests share: senders and the receiver hang off one
-// switch, with the switch → receiver port as the bottleneck.
+// dumbbell, hybrid and buildup scenarios and the workload tests share:
+// senders and the receiver hang off one switch, with the switch →
+// receiver port as the bottleneck.
 type StarConfig struct {
 	// Senders is the number of sender hosts.
 	Senders int
@@ -30,14 +31,16 @@ type Star struct {
 	Bottleneck *netsim.Port
 }
 
-// NewStar wires the star onto an empty network and computes routes.
+// NewStar wires the star onto an empty network and computes routes. A
+// star with no senders is the bare receiver link, for runs whose only
+// load is modelled off the packet path.
 // Creation order (switch, receiver, then senders) fixes the port domain
 // numbering that breaks same-instant delivery ties: receiver = domain 0,
 // sender i = domain 1+i, then the switch ports in attachment order
 // (receiver-facing first).
 func NewStar(nw *netsim.Network, cfg StarConfig) (*Star, error) {
-	if cfg.Senders < 1 {
-		return nil, fmt.Errorf("topo: star needs at least one sender")
+	if cfg.Senders < 0 {
+		return nil, fmt.Errorf("topo: negative sender count %d", cfg.Senders)
 	}
 	if err := emptyNetwork(nw); err != nil {
 		return nil, err

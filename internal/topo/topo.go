@@ -1,7 +1,7 @@
 // Package topo builds datacenter fabrics on top of netsim: k-ary
 // fat-trees and leaf-spine Clos networks with deterministic ECMP
-// routing, plus the star used by workload tests. Builders wire an
-// existing (empty) Network so the caller controls the engine.
+// routing, plus the star of the dumbbell-shaped scenarios. Builders wire
+// an existing (empty) Network so the caller controls the engine.
 //
 // Path choice in the multi-path fabrics is ECMP by flow hash
 // (netsim.ComputeRoutesECMP): the hash salt is drawn once from the

@@ -10,7 +10,10 @@ import (
 
 // QueryConfig parameterizes a repeated partition/aggregate query: every
 // round, all workers simultaneously send BytesPerWorker to the aggregator;
-// the round completes when the last byte is acknowledged.
+// the round completes when the last byte is acknowledged. Each worker
+// keeps one connection across rounds, the standard incast benchmark
+// setup: after the first round, responses resume with the congestion
+// state the previous round left behind.
 //
 // With BytesPerWorker fixed (64 KB) this is the paper's Incast experiment
 // (Fig. 14); with BytesPerWorker = TotalBytes/n it is the completion-time
@@ -34,20 +37,10 @@ type QueryConfig struct {
 	// modulate their backoff, and the runner counts misses for every
 	// variant.
 	Deadline time.Duration
-	// Persistent reuses one connection per worker across rounds, the
-	// standard incast benchmark setup: after the first round responses
-	// resume with the congestion state the previous round left behind.
-	// When false, every round opens fresh connections in slow start.
-	Persistent bool
-	// BaseFlow is the first flow ID; the runner consumes
-	// Rounds×len(Workers) consecutive IDs (one set when Persistent).
-	BaseFlow netsim.FlowID
 	// StartJitter staggers each worker's response uniformly over the
 	// interval, modelling request fan-out serialization and host
 	// scheduling noise. Zero starts all workers at the same instant.
 	StartJitter time.Duration
-	// OnDone, when set, fires after the final round completes.
-	OnDone func()
 }
 
 // QueryRound records one completed round.
@@ -77,8 +70,7 @@ type QueryRunner struct {
 	remaining int
 	started   sim.Time
 	senders   []*tcp.Sender
-	receivers []*tcp.Receiver
-	// Baselines for per-round deltas on persistent connections.
+	// Baselines for per-round deltas on the persistent connections.
 	baseTimeouts, baseRetx uint64
 	done                   bool
 }
@@ -145,7 +137,7 @@ func (q *QueryRunner) startRound() {
 	if q.cfg.Deadline > 0 {
 		deadline = q.started.Add(q.cfg.Deadline)
 	}
-	if q.cfg.Persistent && q.round > 0 {
+	if q.round > 0 {
 		for _, s := range q.senders {
 			s := s
 			if q.cfg.Deadline > 0 {
@@ -155,22 +147,15 @@ func (q *QueryRunner) startRound() {
 		}
 		return
 	}
-	q.senders = q.senders[:0]
-	q.receivers = q.receivers[:0]
-	base := q.cfg.BaseFlow
-	if !q.cfg.Persistent {
-		base += netsim.FlowID(q.round * len(q.cfg.Workers))
-	}
 	for i, worker := range q.cfg.Workers {
-		flow := base + netsim.FlowID(i)
+		flow := netsim.FlowID(i) // worker i keeps flow i for every round
 		s := tcp.NewSender(worker, flow, q.cfg.Aggregator.ID(), q.cfg.BytesPerWorker, plusPacingSeed(q.engine, q.cfg.TCP))
-		r := tcp.NewReceiver(q.cfg.Aggregator, flow, worker.ID(), q.cfg.TCP)
+		tcp.NewReceiver(q.cfg.Aggregator, flow, worker.ID(), q.cfg.TCP)
 		if q.cfg.Deadline > 0 {
 			s.Deadline = deadline
 		}
 		s.OnComplete = func(sim.Time) { q.workerDone() }
 		q.senders = append(q.senders, s)
-		q.receivers = append(q.receivers, r)
 		q.kickoff(s.Start)
 	}
 }
@@ -203,29 +188,17 @@ func (q *QueryRunner) workerDone() {
 	}
 	round.Timeouts = timeouts - q.baseTimeouts
 	round.Retransmissions = retx - q.baseRetx
-	if q.cfg.Persistent {
-		q.baseTimeouts, q.baseRetx = timeouts, retx
-	}
+	q.baseTimeouts, q.baseRetx = timeouts, retx
 	q.rounds = append(q.rounds, round)
 
-	// Fresh-connection mode unregisters every round so host tables do
-	// not grow; persistent mode unregisters only after the final round.
-	if lastRound := q.round == q.cfg.Rounds-1; !q.cfg.Persistent || lastRound {
+	q.round++
+	if q.round >= q.cfg.Rounds {
+		// The connections outlive every round but the last.
 		for i, s := range q.senders {
 			q.cfg.Workers[i].Unregister(s.Flow())
 			q.cfg.Aggregator.Unregister(s.Flow())
 		}
-	}
-	if !q.cfg.Persistent {
-		q.baseTimeouts, q.baseRetx = 0, 0
-	}
-
-	q.round++
-	if q.round >= q.cfg.Rounds {
 		q.done = true
-		if q.cfg.OnDone != nil {
-			q.cfg.OnDone()
-		}
 		return
 	}
 	if q.cfg.Gap > 0 {
